@@ -236,7 +236,8 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
                                                   size_t MemberBegin,
                                                   size_t MemberEnd,
                                                   GangReplayer::Stats
-                                                      *LoadOut) {
+                                                      *LoadOut,
+                                                  size_t *ComputedOut) {
   assert(Workload < Spec.Benchmarks.size() &&
          MemberEnd <= Spec.membersPerWorkload() &&
          MemberBegin <= MemberEnd && "slice out of range");
@@ -269,8 +270,6 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
         MissKey.push_back(Key);
       }
     }
-    if (Missing.empty())
-      return Out;
   } else {
     Missing.reserve(MemberEnd - MemberBegin);
     for (size_t M = MemberBegin; M < MemberEnd; ++M) {
@@ -278,6 +277,10 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
       MissSlot.push_back(M - MemberBegin);
     }
   }
+  if (ComputedOut)
+    *ComputedOut = Missing.size();
+  if (Missing.empty())
+    return Out;
 
   std::vector<PerfCounters> Fresh =
       Spec.Suite == "java"
@@ -365,10 +368,12 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
         // streaming sweep must not pin the event arena just to count.
         uint64_t N = Spec.Suite == "java" ? java().referenceSteps(B)
                                           : forth().referenceSteps(B);
-        // Every member rides the whole trace once per pass.
-        Events.fetch_add(N * M, std::memory_order_relaxed);
         GangReplayer::Stats GangLoad;
-        Rows[I] = runSlice(Spec, I, 0, M, &GangLoad);
+        size_t Computed = 0;
+        Rows[I] = runSlice(Spec, I, 0, M, &GangLoad, &Computed);
+        // Every replayed member rides the whole trace once; cells the
+        // store served cost no replay and count nothing.
+        Events.fetch_add(N * Computed, std::memory_order_relaxed);
         std::lock_guard<std::mutex> Lock(LoadMutex);
         Stats.Load.merge(GangLoad);
       });
@@ -376,10 +381,10 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   Stats.CaptureSeconds = CaptureBusy;
   Stats.ReplayedEvents = Events.load();
 
-  // Audit after the pipeline has fully drained, serially: shape
-  // re-execution flips the process-wide kernel knob, which must never
-  // race a concurrent gang. Rows are repaired in place, so the scatter
-  // below publishes the post-audit (authoritative) cells.
+  // Audit after the pipeline has fully drained, one workload at a
+  // time: the Auditor is not thread-safe. Rows are repaired in place,
+  // so the scatter below publishes the post-audit (authoritative)
+  // cells.
   if (Audit && Audit->plan().enabled())
     for (size_t I = 0; I < W; ++I)
       Audit->auditSlice(Spec, I, 0, M, Rows[I]);

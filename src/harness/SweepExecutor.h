@@ -89,8 +89,8 @@ public:
 
   /// Attaches an Auditor (borrowed, may be null to detach): runAll
   /// then audits each workload's row after the pipeline completes —
-  /// serially, because shape re-execution flips the process-wide
-  /// kernel knob — repairing rows in place before cells scatter.
+  /// serially, one workload at a time — repairing rows in place before
+  /// cells scatter.
   void setAuditor(Auditor *A) { Audit = A; }
 
   /// The audit layer's re-execution entry: replays \p Members
@@ -105,10 +105,12 @@ public:
   /// as one gang over the workload's trace; results in member order.
   /// The gang replays on resolveGangThreads(Spec.Threads) workers under
   /// Spec.Schedule; \p LoadOut, when non-null, accumulates (merges) the
-  /// gang's pool accounting.
+  /// gang's pool accounting. \p ComputedOut, when non-null, receives
+  /// how many members were replayed rather than served from the store.
   std::vector<PerfCounters> runSlice(const SweepSpec &Spec, size_t Workload,
                                      size_t MemberBegin, size_t MemberEnd,
-                                     GangReplayer::Stats *LoadOut = nullptr);
+                                     GangReplayer::Stats *LoadOut = nullptr,
+                                     size_t *ComputedOut = nullptr);
 
   /// The full in-process sweep: every cell, workload-major canonical
   /// order, with capture overlapped via pipelineSweep. \p Threads == 0

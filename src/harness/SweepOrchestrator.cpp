@@ -275,14 +275,14 @@ bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
   substitute(Cmd, "{job}", std::to_string(JobIdx));
   if (Shape) {
     // Audit shard: the decorrelated (or tiebreak) shape rides the
-    // existing {threads}/{schedule} placeholders; decode and kernel
-    // have no placeholder, so they append as flags, together with
-    // --audit-exec (clean re-execution: no store, no fault injection,
-    // no self-audit).
+    // existing {threads}/{schedule} placeholders; decode has no
+    // placeholder, so it appends as a flag, together with --audit-exec
+    // (clean re-execution: no store, no fault injection, no
+    // self-audit).
     substitute(Cmd, "{threads}", std::to_string(Shape->Threads));
     substitute(Cmd, "{schedule}", gangScheduleId(Shape->Schedule));
-    Cmd += format(" --decode=%s --kernel=%s --audit-exec",
-                  traceDecodeModeId(Shape->Decode), Shape->Kernel);
+    Cmd += format(" --decode=%s --audit-exec",
+                  traceDecodeModeId(Shape->Decode));
   } else {
     substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
     substitute(Cmd, "{schedule}", WorkerSchedule);

@@ -19,18 +19,15 @@
 /// object can be refilled across workloads without reallocating.
 ///
 /// Traces serialize to a versioned binary file (save()/load()): a
-/// fixed header carrying event/quicken counts, an FNV-1a content hash
-/// and a caller-supplied workload identity hash, followed by the event
-/// payload. Two encodings share that header: the v1 flat u64 dump and
-/// the v2 compressed form (delta + LEB128 varint event frames of ~64K
-/// events with per-frame checksums, varint-packed quicken records —
-/// see DispatchTrace.cpp for the exact layout). The *content hash is
-/// defined over the logical event stream*, not the file bytes, so the
-/// same trace carries the same hash under either encoding and
-/// everything keyed by it (ResultStore cells, WorkloadCache sidecars)
-/// survives a re-encoding. save() follows the VMIB_TRACE_COMPRESS
-/// knob (default on); load() accepts both versions. The
-/// VMIB_TRACE_CACHE environment variable names a directory the labs
+/// checksummed header carrying event/quicken counts, an FNV-1a content
+/// hash and a caller-supplied workload identity hash, followed by
+/// delta + LEB128 varint event frames of 64K events with per-frame
+/// checksums and varint-packed quicken records (see DispatchTrace.cpp
+/// for the exact layout). The *content hash is defined over the
+/// logical event stream*, not the file bytes, so everything keyed by
+/// it (ResultStore cells, WorkloadCache sidecars) is independent of
+/// the on-disk layout. The VMIB_TRACE_CACHE environment variable
+/// names a directory the labs
 /// consult before re-interpreting a workload, which makes a sweep a
 /// pure function of (trace file, config list) — the prerequisite for
 /// sharding sweeps across machines.
@@ -155,41 +152,29 @@ public:
 
   //===--- binary serialization (trace cache / sweep sharding) ------------===//
 
-  /// FNV-1a over the event words and quicken records; the save() header
-  /// stores it and load() verifies it, so a truncated or bit-flipped
-  /// trace file is rejected instead of silently corrupting a sweep.
+  /// FNV-1a over the packed event words and quicken records: the
+  /// trace's logical identity. The save() header stores it under the
+  /// header checksum, and every content-keyed derivation (store cells,
+  /// cost sidecars) uses it.
   uint64_t contentHash() const;
 
-  /// Writes the trace to \p Path in the encoding compressEnabled()
-  /// selects. \p WorkloadHash identifies the workload the trace was
-  /// captured from (the labs pass the reference output hash); load()
-  /// refuses a file whose workload hash does not match, so a stale
-  /// cache entry for a changed workload re-captures instead of lying.
+  /// Writes the trace to \p Path. \p WorkloadHash identifies the
+  /// workload the trace was captured from (the labs pass the reference
+  /// output hash); load() refuses a file whose workload hash does not
+  /// match, so a stale cache entry for a changed workload re-captures
+  /// instead of lying.
   /// \returns false on any I/O failure (best-effort: callers fall back
   /// to the captured in-memory trace).
   bool save(const std::string &Path, uint64_t WorkloadHash) const;
 
-  /// save() with an explicit encoding choice: \p Compressed writes the
-  /// v2 delta/varint frames, otherwise the v1 flat dump. Both carry
-  /// the identical logical content hash. Used by re-encoding tools and
-  /// the encoding-equivalence tests; save() itself follows the
-  /// VMIB_TRACE_COMPRESS knob.
-  bool saveEncoded(const std::string &Path, uint64_t WorkloadHash,
-                   bool Compressed) const;
-
-  /// Whether save() writes the compressed encoding: VMIB_TRACE_COMPRESS
-  /// unset/"on"/"1" -> true, "off"/"0" -> false. sweep_driver's
-  /// --trace-compress flag re-exports its decision through the
-  /// environment so forked shard workers agree with the orchestrator.
-  static bool compressEnabled();
-
   /// Replaces *this with the trace stored at \p Path. \returns false
   /// (leaving *this cleared — a failed load never exposes partial
-  /// state) if the file is missing, has a wrong magic/version, fails
-  /// either hash check, or is truncated / carries trailing garbage.
-  /// When \p Diag is non-null, a failure stores a one-line description
-  /// of exactly what was rejected (callers surface it instead of
-  /// silently re-capturing on a corrupt cache).
+  /// state) if the file is missing, has a wrong magic or a retired
+  /// format version, fails a checksum, or is truncated / carries
+  /// trailing garbage. When \p Diag is non-null, a failure stores a
+  /// one-line description of exactly what was rejected (callers
+  /// surface it instead of silently re-capturing on a corrupt cache).
+  /// Implemented as a FrameReader drained in one read.
   bool load(const std::string &Path, uint64_t ExpectedWorkloadHash,
             std::string *Diag = nullptr);
 
@@ -201,14 +186,16 @@ public:
   /// the hash is only *declared* here, but anything derived from a
   /// wrong declaration simply misses in a content-addressed lookup.
   /// \returns false when the file is missing, shorter than a header,
-  /// or has the wrong magic/version.
-  static bool peekContentHash(const std::string &Path, uint64_t &Hash);
+  /// or has the wrong magic/version; \p Diag (when non-null) then says
+  /// which, in load()'s grammar.
+  static bool peekContentHash(const std::string &Path, uint64_t &Hash,
+                              std::string *Diag = nullptr);
 
   /// Header facts of a trace file without decoding it: format version,
   /// logical stream sizes, and the on-disk footprint. LogicalBytes is
-  /// what the v1 flat encoding would occupy, so
-  /// LogicalBytes / FileBytes is the compression ratio the cache and
-  /// store reports print per trace (1.0 for v1 files by construction).
+  /// the uncompressed footprint (8 bytes per event, 32 per quicken
+  /// record, plus the header prefix), so LogicalBytes / FileBytes is
+  /// the compression ratio the cache and store reports print per trace.
   struct FileInfo {
     uint64_t Version = 0;
     uint64_t NumEvents = 0;
@@ -229,22 +216,16 @@ public:
 
   //===--- streaming decode (O(tile) replay memory) ------------------------===//
 
-  /// Incremental decoder over a serialized trace file: the streaming
-  /// counterpart of load(). open() performs every validation load()
-  /// performs EXCEPT decoding the event payload — v2: header checksum,
-  /// pinned frame geometry, directory bounds, the exact file-size
-  /// equation, and the quicken block (verified and fully decoded, it is
-  /// side-band metadata orders of magnitude smaller than the events);
-  /// v1: the exact size equation plus a whole-file content-hash
-  /// pre-pass in O(1) memory (flat files carry no per-frame checksums,
-  /// so integrity costs one extra sequential read). read() then hands
-  /// out events in stream order, verifying each v2 frame's checksum
-  /// immediately before decoding it, so working memory stays one frame
-  /// (64K events) regardless of trace length and corruption is still
-  /// loud before a single fabricated event escapes.
-  ///
-  /// The decoded stream is bit-identical to what load() materializes:
-  /// both run the same frame decoder over the same verified bytes.
+  /// Incremental decoder over a serialized trace file, and the one
+  /// decoder load() is built on. open() performs every validation
+  /// except decoding the event payload: header checksum, pinned frame
+  /// geometry, directory bounds, the exact file-size equation, and the
+  /// quicken block (verified and fully decoded, it is side-band
+  /// metadata orders of magnitude smaller than the events). read()
+  /// then hands out events in stream order, verifying each frame's
+  /// checksum immediately before decoding it, so working memory stays
+  /// one frame (64K events) regardless of trace length and corruption
+  /// is still loud before a single fabricated event escapes.
   class FrameReader {
   public:
     FrameReader();
@@ -261,13 +242,11 @@ public:
     bool isOpen() const { return F != nullptr; }
 
     // Header facts, valid after a successful open().
-    uint64_t version() const { return VersionV; }
     uint64_t numEvents() const { return NumEventsV; }
     uint64_t numQuickens() const { return QuickensV.size(); }
     uint64_t workloadHash() const { return WorkloadHashV; }
-    /// The verified logical content hash (header word 5): under v2 the
-    /// layered checksums make the declaration trustworthy, under v1
-    /// open()'s pre-pass recomputed and compared it.
+    /// The verified logical content hash (header word 5): the layered
+    /// checksums make the declaration trustworthy.
     uint64_t contentHash() const { return ContentHashV; }
     /// All quicken records, decoded and verified at open() time.
     const std::vector<QuickenRecord> &quickens() const { return QuickensV; }
@@ -284,8 +263,8 @@ public:
     uint64_t eventsRemaining() const { return NumEventsV - EventsOut; }
 
     /// Rewinds to the first event for a fresh pass (the already-
-    /// verified open() state is reused; v1 does NOT re-pay its hash
-    /// pre-pass). \returns false on seek failure.
+    /// verified open() state is reused). \returns false on seek
+    /// failure.
     bool rewind();
 
     /// The failure description of the first failed read()/rewind().
@@ -297,14 +276,13 @@ public:
     std::FILE *F = nullptr;
     std::string PathV;
     std::string ErrorV;
-    uint64_t VersionV = 0;
     uint64_t NumEventsV = 0;
     uint64_t WorkloadHashV = 0;
     uint64_t ContentHashV = 0;
     std::vector<QuickenRecord> QuickensV;
     long PayloadStart = 0;   ///< file offset of the first event payload
     uint64_t EventsOut = 0;  ///< events handed out since open/rewind
-    // v2 state: frame directory, the current frame's raw bytes, and
+    // Frame directory, the current frame's raw bytes, and
     // decoded-but-not-yet-handed-out events of a partially consumed
     // frame (tiles need not align with frames).
     std::vector<uint64_t> Dir;
@@ -325,8 +303,7 @@ public:
   static std::string cachePathFor(const std::string &Key);
 
 private:
-  bool writeFlat(std::FILE *F, uint64_t WorkloadHash) const;
-  bool writeCompressed(std::FILE *F, uint64_t WorkloadHash) const;
+  bool encodeTo(std::FILE *F, uint64_t WorkloadHash) const;
 
   std::vector<Event> Events;
   std::vector<QuickenRecord> Quickens;

@@ -290,8 +290,8 @@ public:
   }
 
 private:
-  /// Streaming tile size: matches runChunked's strip-mining AND the v2
-  /// frame granularity, so the optimistic tier probes overflow at the
+  /// Streaming tile size: matches runChunked's strip-mining AND the
+  /// trace file's frame granularity, so the optimistic tier probes overflow at the
   /// same boundaries on both paths and each tile read decodes exactly
   /// one frame.
   static constexpr size_t StreamChunkEvents = size_t{1} << 16;

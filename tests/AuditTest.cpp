@@ -283,19 +283,13 @@ TEST(AuditPlan, DecorrelatedShapeFlipsEveryAxis) {
   EXPECT_EQ(D.Decode, TraceDecodeMode::Materialize);
   EXPECT_EQ(D.Schedule, GangSchedule::Static);
   EXPECT_EQ(D.Threads, 1u);
-  // The kernel axis flips relative to the process-wide knob; either
-  // way it must name a real kernel.
-  EXPECT_TRUE(std::strcmp(D.Kernel, "scalar") == 0 ||
-              std::strcmp(D.Kernel, "simd") == 0);
 
   // The tiebreak authority is the canonical clean configuration.
   AuditShape C = canonicalAuditShape();
   EXPECT_EQ(C.Decode, TraceDecodeMode::Materialize);
   EXPECT_EQ(C.Schedule, GangSchedule::Static);
   EXPECT_EQ(C.Threads, 1u);
-  EXPECT_STREQ(C.Kernel, "scalar");
-  EXPECT_EQ(auditShapeId(C),
-            "decode:materialize,kernel:scalar,schedule:static,threads:1");
+  EXPECT_EQ(auditShapeId(C), "decode:materialize,schedule:static,threads:1");
 }
 
 //===--- PerfCounters value identity --------------------------------------===//

@@ -15,13 +15,17 @@
 ///  - kill-anywhere: SIGKILL mid-segment-write (pre-fsync, the worst
 ///    instant) loses only the uncommitted flush, never a committed one
 ///    and never a partial record;
-///  - the in-use lock makes a live store invisible to --cache-gc.
+///  - the in-use lock makes a live store invisible to --cache-gc;
+///  - a sweep the store serves completely replays (and counts) no
+///    events.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/CacheGC.h"
 #include "harness/ResultStore.h"
+#include "harness/SweepExecutor.h"
 #include "harness/SweepSpec.h"
+#include "harness/Variants.h"
 
 #include <gtest/gtest.h>
 
@@ -570,4 +574,45 @@ TEST_F(ResultStoreTest, CacheGCEvictsOldestFirstAndClearsTemps) {
   EXPECT_NE(0, ::stat((Dir + "/seg-0.vmibstore").c_str(), &St));
   EXPECT_EQ(0, ::stat((Dir + "/seg-1.vmibstore").c_str(), &St));
   EXPECT_EQ(0, ::stat((Dir + "/seg-2.vmibstore").c_str(), &St));
+}
+
+TEST_F(ResultStoreTest, FullyServedSweepReportsNoReplayedEvents) {
+  // ReplayedEvents counts work actually done: a sweep whose every cell
+  // the store serves replays nothing, so it must report zero events
+  // (and the same cells the computing run produced).
+  ::unsetenv("VMIB_TRACE_CACHE");
+  SweepSpec Spec;
+  Spec.Name = "served";
+  Spec.Suite = "forth";
+  Spec.Benchmarks = {"vmgen"};
+  Spec.Cpus = {"p4northwood"};
+  Spec.Variants = {makeVariant(DispatchStrategy::Threaded),
+                   makeVariant(DispatchStrategy::StaticRepl)};
+
+  std::vector<PerfCounters> Computed, Served;
+  uint64_t Steps = 0;
+  {
+    ResultStore Store;
+    std::string Diag;
+    ASSERT_TRUE(Store.open(Dir, &Diag)) << Diag;
+    SweepExecutor Executor;
+    Executor.setResultStore(&Store);
+    SweepRunStats Stats = Executor.runAll(Spec, 1, Computed);
+    Steps = Executor.forth().referenceSteps("vmgen");
+    EXPECT_GT(Steps, 0u);
+    EXPECT_EQ(Steps * Spec.membersPerWorkload(), Stats.ReplayedEvents);
+  }
+  {
+    ResultStore Store;
+    std::string Diag;
+    ASSERT_TRUE(Store.open(Dir, &Diag)) << Diag;
+    SweepExecutor Executor;
+    Executor.setResultStore(&Store);
+    SweepRunStats Stats = Executor.runAll(Spec, 1, Served);
+    EXPECT_EQ(0u, Stats.ReplayedEvents);
+    EXPECT_EQ(Spec.numCells(), Store.stats().Hits);
+  }
+  ASSERT_EQ(Computed.size(), Served.size());
+  for (size_t I = 0; I < Computed.size(); ++I)
+    EXPECT_TRUE(sameCounters(Computed[I], Served[I])) << "cell " << I;
 }

@@ -1,30 +1,27 @@
-//===- tests/TraceCodecTest.cpp - Trace encoding + batched kernels --------===//
+//===- tests/TraceCodecTest.cpp - Trace file encoding ---------------------===//
 ///
-/// Pins the two bandwidth layers PR 8 added under the existing
-/// bit-identity contract:
+/// Pins the delta/varint trace file encoding under the bit-identity
+/// contract:
 ///
-///  - the v2 delta/varint trace encoding round-trips every trace shape
-///    (frame boundaries, wild deltas, halt sentinels, quickens)
-///    bit-identically, declares the same logical content hash as the
-///    v1 flat encoding of the same trace, and actually compresses
-///    walk-shaped dispatch streams (the ratio the :decodebandwidth
-///    line reports);
-///  - ResultStore cell keys are derived from that logical hash, so
-///    re-encoding a cached trace serves the SAME store cells with zero
-///    recompute;
-///  - the batched (AoSoA) gang kernel leaves every lane's NoEvictBTB
-///    in the identical state, with identical miss counts, as the
-///    scalar per-member kernel — including the 2-bit-counter and
-///    overflow paths the AVX2 tag search must not shortcut.
+///  - it round-trips every trace shape (frame boundaries, wild deltas,
+///    halt sentinels, quickens) bit-identically, declares the logical
+///    content hash in its header, and actually compresses walk-shaped
+///    dispatch streams (the ratio the :decodebandwidth line reports);
+///  - ResultStore cell keys are derived from that logical hash, not
+///    from the file bytes;
+///  - streaming decode (FrameReader / TraceSource) hands out exactly
+///    the materialized stream and rejects corrupt frames;
+///  - a retired version-1 cache entry is rejected with a diagnostic,
+///    re-captured and rewritten, and the sweep's cells do not change.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/ResultStore.h"
+#include "harness/SweepExecutor.h"
 #include "harness/SweepSpec.h"
 #include "harness/Variants.h"
 #include "support/Random.h"
 #include "vmcore/DispatchTrace.h"
-#include "vmcore/GangKernels.h"
 #include "vmcore/TraceSource.h"
 
 #include <gtest/gtest.h>
@@ -47,32 +44,26 @@ std::string tempPath(const char *Tag) {
          std::to_string(::getpid()) + ".vmibtrace";
 }
 
-/// Round-trips \p T through both encodings at \p Path and checks that
-/// the loads are bit-identical and both files declare the identical
-/// logical content hash.
+/// Round-trips \p T through a trace file and checks that the load is
+/// bit-identical and the header declares the logical content hash.
 void expectRoundTrip(const DispatchTrace &T, const std::string &What) {
   std::string Path = tempPath("roundtrip");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed)) << What;
-    DispatchTrace::FileInfo Info;
-    ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info)) << What;
-    EXPECT_EQ(Compressed ? 2u : 1u, Info.Version) << What;
-    EXPECT_EQ(T.numEvents(), Info.NumEvents) << What;
-    EXPECT_EQ(T.numQuickens(), Info.NumQuickens) << What;
-    if (!Compressed)
-      EXPECT_EQ(Info.FileBytes, Info.LogicalBytes) << What;
-    uint64_t Peeked = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << What;
-    EXPECT_EQ(T.contentHash(), Peeked)
-        << What << (Compressed ? " (compressed)" : " (flat)");
-    DispatchTrace Loaded;
-    std::string Diag;
-    ASSERT_TRUE(Loaded.load(Path, WorkloadHash, &Diag)) << What << ": "
-                                                        << Diag;
-    EXPECT_EQ(T.events(), Loaded.events()) << What;
-    EXPECT_EQ(T.numQuickens(), Loaded.numQuickens()) << What;
-    EXPECT_EQ(T.contentHash(), Loaded.contentHash()) << What;
-  }
+  ASSERT_TRUE(T.save(Path, WorkloadHash)) << What;
+  DispatchTrace::FileInfo Info;
+  ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info)) << What;
+  EXPECT_EQ(2u, Info.Version) << What;
+  EXPECT_EQ(T.numEvents(), Info.NumEvents) << What;
+  EXPECT_EQ(T.numQuickens(), Info.NumQuickens) << What;
+  uint64_t Peeked = 0;
+  ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << What;
+  EXPECT_EQ(T.contentHash(), Peeked) << What;
+  DispatchTrace Loaded;
+  std::string Diag;
+  ASSERT_TRUE(Loaded.load(Path, WorkloadHash, &Diag)) << What << ": "
+                                                      << Diag;
+  EXPECT_EQ(T.events(), Loaded.events()) << What;
+  EXPECT_EQ(T.numQuickens(), Loaded.numQuickens()) << What;
+  EXPECT_EQ(T.contentHash(), Loaded.contentHash()) << What;
   std::remove(Path.c_str());
 }
 
@@ -89,7 +80,7 @@ TEST(TraceCodecTest, RoundTripShapes) {
     expectRoundTrip(T, "single halt event");
   }
 
-  // Exactly one frame, one frame + 1, and one frame - 1 (the v2 frame
+  // Exactly one frame, one frame + 1, and one frame - 1 (the frame
   // size is 65536 events; boundary off-by-ones are where framed codecs
   // break).
   for (uint32_t N : {65535u, 65536u, 65537u}) {
@@ -134,8 +125,8 @@ TEST(TraceCodecTest, RoundTripShapes) {
 TEST(TraceCodecTest, WalkTraceCompressesAtLeastTwofold) {
   // A dispatch-shaped walk (straight-line runs broken by indirect
   // jumps, like every real and synthetic workload) must compress >= 2x
-  // against its v1 flat footprint — the floor the :decodebandwidth
-  // line is expected to show in CI.
+  // against its 8-bytes-per-event logical footprint — the floor the
+  // :decodebandwidth line is expected to show in CI.
   DispatchTrace T;
   Xoroshiro128 Rng(0x77616c6bULL);
   uint32_t Ip = 0;
@@ -147,20 +138,21 @@ TEST(TraceCodecTest, WalkTraceCompressesAtLeastTwofold) {
     Ip = Next;
   }
   std::string Path = tempPath("ratio");
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
   DispatchTrace::FileInfo Info;
   ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info));
-  EXPECT_GE(Info.ratio(), 2.0) << "v2 encoding stopped compressing: "
+  EXPECT_GE(Info.ratio(), 2.0) << "trace encoding stopped compressing: "
                                << Info.FileBytes << " bytes for "
                                << Info.LogicalBytes << " logical";
   std::remove(Path.c_str());
 }
 
 TEST(TraceCodecTest, ReencodedTraceHitsSameStoreCells) {
-  // The encoding-invariance satellite end to end: record cells keyed
-  // by a compressed trace file, re-encode the file flat, and the store
-  // must serve the same cells — the key is the logical content hash,
-  // not the bytes on disk.
+  // Store keys come from the logical content hash, not from the bytes
+  // on disk: record cells keyed by one trace file, rewrite the same
+  // trace into a file whose bytes differ (another workload hash moves
+  // header word 4 and the header checksum), and the store must serve
+  // the same cells; a trace with different content must miss.
   SweepSpec Spec;
   Spec.Name = "codec";
   Spec.Suite = "forth";
@@ -173,6 +165,15 @@ TEST(TraceCodecTest, ReencodedTraceHitsSameStoreCells) {
   for (uint32_t I = 0; I < 4096; ++I)
     T.append(I % 97, (I + 1) % 97);
   std::string TracePath = tempPath("store");
+  auto FileBytes = [&] {
+    std::vector<unsigned char> Bytes;
+    std::FILE *F = std::fopen(TracePath.c_str(), "rb");
+    for (int C; F && (C = std::fgetc(F)) != EOF;)
+      Bytes.push_back(static_cast<unsigned char>(C));
+    if (F)
+      std::fclose(F);
+    return Bytes;
+  };
 
   char StoreTemplate[] = "/tmp/vmib-codec-store-XXXXXX";
   ASSERT_NE(nullptr, ::mkdtemp(StoreTemplate));
@@ -182,116 +183,48 @@ TEST(TraceCodecTest, ReencodedTraceHitsSameStoreCells) {
     std::string Diag;
     ASSERT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
 
-    ASSERT_TRUE(T.saveEncoded(TracePath, WorkloadHash, /*Compressed=*/true));
-    uint64_t CompressedHash = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, CompressedHash));
+    ASSERT_TRUE(T.save(TracePath, WorkloadHash));
+    std::vector<unsigned char> FirstBytes = FileBytes();
+    uint64_t FirstHash = 0;
+    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, FirstHash));
     for (size_t M = 0; M < Spec.Variants.size(); ++M) {
       PerfCounters C;
       C.Cycles = 1000 + M;
       C.DispatchCount = 4096;
-      Store.record(cellStoreKey(Spec, M, CompressedHash), C);
+      Store.record(cellStoreKey(Spec, M, FirstHash), C);
     }
     ASSERT_TRUE(Store.flush());
 
-    ASSERT_TRUE(T.saveEncoded(TracePath, WorkloadHash, /*Compressed=*/false));
-    uint64_t FlatHash = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, FlatHash));
-    EXPECT_EQ(CompressedHash, FlatHash);
+    ASSERT_TRUE(T.save(TracePath, WorkloadHash ^ 0xfeed));
+    ASSERT_NE(FirstBytes, FileBytes()) << "rewrite left the bytes alone";
+    uint64_t SecondHash = 0;
+    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, SecondHash));
+    EXPECT_EQ(FirstHash, SecondHash);
+    EXPECT_EQ(T.contentHash(), SecondHash);
     for (size_t M = 0; M < Spec.Variants.size(); ++M) {
       PerfCounters C;
-      EXPECT_TRUE(Store.probe(cellStoreKey(Spec, M, FlatHash), C))
-          << "member " << M << " missed after re-encoding";
+      EXPECT_TRUE(Store.probe(cellStoreKey(Spec, M, SecondHash), C))
+          << "member " << M << " missed after the rewrite";
       EXPECT_EQ(1000 + M, C.Cycles);
     }
+
+    DispatchTrace Other = T;
+    Other.append(1, 2);
+    ASSERT_TRUE(Other.save(TracePath, WorkloadHash));
+    uint64_t OtherHash = 0;
+    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, OtherHash));
+    PerfCounters C;
+    EXPECT_FALSE(Store.probe(cellStoreKey(Spec, 0, OtherHash), C))
+        << "different trace content served a stored cell";
   }
   std::remove(TracePath.c_str());
   std::string Cleanup = "rm -rf '" + StoreDir + "'";
   ASSERT_EQ(0, std::system(Cleanup.c_str()));
 }
 
-TEST(TraceCodecTest, BatchedKernelMatchesScalarLanes) {
-  // Eight lanes with deliberately mixed geometries: 4-way lanes take
-  // the AVX2 tag search (when the host has it), everything else the
-  // scalar step inside the same pass. Each must finish with the exact
-  // per-member miss count, table contents and overflow flag the scalar
-  // kernel produces.
-  std::vector<BTBConfig> Geometries;
-  {
-    BTBConfig C;
-    C.Entries = 64;
-    C.Ways = 4;
-    Geometries.push_back(C); // AVX2-eligible, overflows under pressure
-    C.Entries = 512;
-    C.Ways = 4;
-    C.TwoBitCounters = true;
-    Geometries.push_back(C); // AVX2-eligible, hysteresis path
-    C.Entries = 512;
-    C.Ways = 2;
-    C.TwoBitCounters = false;
-    Geometries.push_back(C); // scalar-in-batch lane
-    C.Entries = 513;
-    C.Ways = 3;
-    Geometries.push_back(C); // non-power-of-two sets, scalar lane
-  }
-
-  gang::DecodedChunk D;
-  Xoroshiro128 Rng(0x6b65726eULL);
-  const size_t NumRecords = 20000;
-  D.Branches.resize(NumRecords);
-  for (size_t I = 0; I < NumRecords; ++I) {
-    // ~600 distinct sites: enough reuse for hits, enough spread for
-    // conflict-driven overflow in the 64-entry geometry.
-    Addr Site = 0x1000 + (Rng.nextBelow(600) << 2);
-    Addr Target = 0x200000 + (Rng.nextBelow(900) << 4);
-    D.Branches[I].Site = Site;
-    D.Branches[I].TargetHint = Target;
-  }
-  D.NumBranches = NumRecords;
-
-  // Scalar reference: one member at a time through the shared
-  // runDecodedBranches path every non-batched replay uses.
-  std::vector<NoEvictBTB> Reference;
-  std::vector<uint64_t> ReferenceMisses;
-  for (size_t L = 0; L < 8; ++L)
-    Reference.emplace_back(Geometries[L % Geometries.size()]);
-  for (NoEvictBTB &B : Reference)
-    ReferenceMisses.push_back(gang::runDecodedBranches(D, B));
-
-  // Batched: all eight lanes in one pass.
-  std::vector<NoEvictBTB> Batched;
-  for (size_t L = 0; L < 8; ++L)
-    Batched.emplace_back(Geometries[L % Geometries.size()]);
-  gang::BtbLane Lanes[gang::MaxBatchLanes];
-  for (size_t L = 0; L < 8; ++L)
-    Lanes[L].V = Batched[L].kernelView();
-  gang::runDecodedBranchesBatched(D, Lanes, 8);
-
-  for (size_t L = 0; L < 8; ++L) {
-    EXPECT_EQ(ReferenceMisses[L], Lanes[L].Misses) << "lane " << L;
-    EXPECT_EQ(Reference[L].overflowed(), Batched[L].overflowed())
-        << "lane " << L;
-    // The tables themselves: replay a probe stream through both and
-    // compare predictions — any hidden state divergence surfaces as a
-    // differing prediction within one set scan.
-    gang::DecodedChunk Probe;
-    Probe.Branches.resize(600);
-    for (size_t I = 0; I < 600; ++I) {
-      Probe.Branches[I].Site = 0x1000 + ((I * 7 % 600) << 2);
-      Probe.Branches[I].TargetHint = 0x300000;
-    }
-    Probe.NumBranches = Probe.Branches.size();
-    EXPECT_EQ(gang::runDecodedBranches(Probe, Reference[L]),
-              gang::runDecodedBranches(Probe, Batched[L]))
-        << "lane " << L << " tables diverged";
-  }
-  EXPECT_TRUE(Reference[0].overflowed())
-      << "pressure geometry never overflowed; the overflow path went "
-         "untested";
-}
-
 namespace {
 
-/// A multi-frame walk with quicken records clustered around the v2
+/// A multi-frame walk with quicken records clustered around the
 /// 64K-event frame boundaries — the shapes where a streaming decoder
 /// with per-frame state is most likely to diverge from load().
 DispatchTrace makeMultiFrameTrace(uint32_t NumEvents) {
@@ -324,9 +257,8 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
   // ~2.3 frames of events, quickens straddling both frame boundaries.
   DispatchTrace T = makeMultiFrameTrace(150000);
   std::string Path = tempPath("stream");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed));
-
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
+  {
     TraceSource Stream;
     std::string Diag;
     ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, Stream, &Diag))
@@ -338,9 +270,11 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
     for (size_t I = 0; I < T.numQuickens(); ++I) {
       EXPECT_EQ(T.quickens()[I].AfterEvents, Stream.quickens()[I].AfterEvents);
       EXPECT_EQ(T.quickens()[I].Index, Stream.quickens()[I].Index);
-      EXPECT_EQ(0, std::memcmp(&T.quickens()[I].NewInstr,
-                               &Stream.quickens()[I].NewInstr,
-                               sizeof(VMInstr)));
+      // Field by field: VMInstr has padding after Op, which memcmp
+      // would compare as uninitialized bytes.
+      EXPECT_EQ(T.quickens()[I].NewInstr.Op, Stream.quickens()[I].NewInstr.Op);
+      EXPECT_EQ(T.quickens()[I].NewInstr.A, Stream.quickens()[I].NewInstr.A);
+      EXPECT_EQ(T.quickens()[I].NewInstr.B, Stream.quickens()[I].NewInstr.B);
     }
 
     TraceSource Mat(T);
@@ -365,8 +299,7 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
         ASSERT_EQ(MSpan.End, SSpan.End) << "chunk " << Chunk;
         ASSERT_EQ(0, std::memcmp(MSpan.Data, SSpan.Data,
                                  SSpan.size() * sizeof(DispatchTrace::Event)))
-            << "tile " << Tiles << " chunk " << Chunk
-            << (Compressed ? " (compressed)" : " (flat)");
+            << "tile " << Tiles << " chunk " << Chunk;
         ++Tiles;
       }
     }
@@ -377,12 +310,11 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
 TEST(TraceCodecTest, FrameReaderIncrementalApi) {
   DispatchTrace T = makeMultiFrameTrace(70000); // frame + partial frame
   std::string Path = tempPath("reader");
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
 
   DispatchTrace::FrameReader R;
   std::string Diag;
   ASSERT_TRUE(R.open(Path, WorkloadHash, &Diag)) << Diag;
-  EXPECT_EQ(2u, R.version());
   EXPECT_EQ(T.numEvents(), R.numEvents());
   EXPECT_EQ(T.numQuickens(), R.numQuickens());
   EXPECT_EQ(WorkloadHash, R.workloadHash());
@@ -416,8 +348,8 @@ TEST(TraceCodecTest, FrameReaderIncrementalApi) {
 TEST(TraceCodecTest, StreamingZeroEventsAndOversizeChunk) {
   DispatchTrace Empty;
   std::string Path = tempPath("empty");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(Empty.saveEncoded(Path, WorkloadHash, Compressed));
+  ASSERT_TRUE(Empty.save(Path, WorkloadHash));
+  {
     TraceSource S;
     std::string Diag;
     ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, S, &Diag))
@@ -435,10 +367,10 @@ TEST(TraceCodecTest, StreamingRejectsBitCorruption) {
   DispatchTrace T = makeMultiFrameTrace(100000);
   std::string Path = tempPath("corrupt");
 
-  // v2: open() validates header/directory/quickens; a flipped byte in
-  // an event frame is caught by that frame's checksum at read() time,
+  // open() validates header/directory/quickens; a flipped byte in an
+  // event frame is caught by that frame's checksum at read() time,
   // before any decoded event escapes.
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
   {
     // Find the payload region: flip a byte well inside the event
     // frames (half-way through the file is always event payload for
@@ -456,7 +388,7 @@ TEST(TraceCodecTest, StreamingRejectsBitCorruption) {
     DispatchTrace::FrameReader R;
     std::string Diag;
     ASSERT_TRUE(R.open(Path, WorkloadHash, &Diag))
-        << "v2 open should defer payload verification: " << Diag;
+        << "open should defer payload verification: " << Diag;
     std::vector<DispatchTrace::Event> Out;
     bool Failed = false;
     while (R.eventsRemaining() > 0)
@@ -468,25 +400,96 @@ TEST(TraceCodecTest, StreamingRejectsBitCorruption) {
     EXPECT_NE(std::string::npos, R.error().find("checksum"))
         << "unexpected diagnostic: " << R.error();
   }
+  std::remove(Path.c_str());
+}
 
-  // v1: no per-frame checksums, so open() pays a whole-file hash
-  // pre-pass and rejects up front.
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/false));
+TEST(TraceCodecTest, LegacyVersion1CacheEntryIsRecaptured) {
+  // A cache written before the flat version-1 encoding was retired
+  // must not be trusted: every reader rejects the file naming its
+  // version, the lab warns and re-captures, the entry is rewritten in
+  // the current format, and the sweep's cells equal a fresh-cache run.
+  SweepSpec Spec;
+  Spec.Name = "legacy";
+  Spec.Suite = "forth";
+  Spec.Benchmarks = {"vmgen"};
+  Spec.Variants = {makeVariant(DispatchStrategy::Threaded),
+                   makeVariant(DispatchStrategy::StaticRepl)};
+  Spec.Cpus = {"p4northwood"};
+
+  char FreshTemplate[] = "/tmp/vmib-codec-fresh-XXXXXX";
+  char LegacyTemplate[] = "/tmp/vmib-codec-legacy-XXXXXX";
+  ASSERT_NE(nullptr, ::mkdtemp(FreshTemplate));
+  ASSERT_NE(nullptr, ::mkdtemp(LegacyTemplate));
+
+  ::setenv("VMIB_TRACE_CACHE", FreshTemplate, 1);
+  SweepExecutor FreshRun;
+  std::vector<PerfCounters> Reference;
+  FreshRun.runAll(Spec, 1, Reference);
+  const DispatchTrace &T = FreshRun.forth().trace("vmgen");
+  const uint64_t WH = FreshRun.forth().referenceHash("vmgen");
+  ASSERT_EQ(0u, T.numQuickens());
+
+  // The version-1 layout, by hand: six header words (magic, version,
+  // event count, quicken count, workload hash, logical content hash)
+  // followed by the raw event words.
+  ::setenv("VMIB_TRACE_CACHE", LegacyTemplate, 1);
+  std::string Path = DispatchTrace::cachePathFor("forth-vmgen");
   {
-    FILE *F = std::fopen(Path.c_str(), "r+b");
+    const uint64_t Header[6] = {0x0143525442494d56ULL, 1, T.numEvents(), 0,
+                                WH, T.contentHash()};
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
     ASSERT_NE(nullptr, F);
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    int Byte = std::fgetc(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    std::fputc(Byte ^ 0x40, F);
-    std::fclose(F);
+    ASSERT_EQ(6u, std::fwrite(Header, sizeof(uint64_t), 6, F));
+    ASSERT_EQ(T.numEvents(), std::fwrite(T.events().data(),
+                                         sizeof(DispatchTrace::Event),
+                                         T.numEvents(), F));
+    ASSERT_EQ(0, std::fclose(F));
+  }
+
+  const std::string Version = "format version 1";
+  {
+    DispatchTrace Loaded;
+    std::string Diag;
+    EXPECT_FALSE(Loaded.load(Path, WH, &Diag));
+    EXPECT_NE(std::string::npos, Diag.find(Version)) << Diag;
+    EXPECT_TRUE(Loaded.empty());
 
     DispatchTrace::FrameReader R;
-    std::string Diag;
-    EXPECT_FALSE(R.open(Path, WorkloadHash, &Diag))
-        << "v1 open accepted a corrupt file";
+    Diag.clear();
+    EXPECT_FALSE(R.open(Path, WH, &Diag));
+    EXPECT_NE(std::string::npos, Diag.find(Version)) << Diag;
+
+    uint64_t Hash = 0;
+    Diag.clear();
+    EXPECT_FALSE(DispatchTrace::peekContentHash(Path, Hash, &Diag));
+    EXPECT_NE(std::string::npos, Diag.find(Version)) << Diag;
   }
-  std::remove(Path.c_str());
+
+  SweepExecutor LegacyRun;
+  std::vector<PerfCounters> Cells;
+  ::testing::internal::CaptureStderr();
+  LegacyRun.runAll(Spec, 1, Cells);
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(std::string::npos,
+            Err.find("warning: ignoring trace cache entry: " + Path))
+      << Err;
+  EXPECT_NE(std::string::npos, Err.find(Version)) << Err;
+
+  DispatchTrace::FileInfo Info;
+  ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info));
+  EXPECT_EQ(2u, Info.Version);
+  DispatchTrace Rewritten;
+  std::string Diag;
+  ASSERT_TRUE(Rewritten.load(Path, WH, &Diag)) << Diag;
+  EXPECT_EQ(T.contentHash(), Rewritten.contentHash());
+
+  ASSERT_EQ(Reference.size(), Cells.size());
+  for (size_t I = 0; I < Cells.size(); ++I)
+    EXPECT_EQ(Reference[I].fingerprint(), Cells[I].fingerprint())
+        << "cell " << I;
+
+  ::unsetenv("VMIB_TRACE_CACHE");
+  std::string Cleanup = std::string("rm -rf '") + FreshTemplate + "' '" +
+                        LegacyTemplate + "'";
+  ASSERT_EQ(0, std::system(Cleanup.c_str()));
 }

@@ -23,25 +23,18 @@
 ///                                               :loadbalance line
 ///   sweep_driver --spec=F --emit-spec           parse + reprint the spec
 ///
-/// Replay-path knobs (docs/simulation-pipeline.md, "Trace encoding"):
-/// `--trace-compress=on|off` picks the trace-file encoding (v2
-/// delta/varint frames, the default, vs the v1 flat dump),
-/// `--kernel=scalar|simd` picks the gang member kernel (one member per
-/// tile pass, the measured-faster default, vs SIMD-batched
-/// same-fingerprint members advancing together) and
+/// Replay-path knob (docs/simulation-pipeline.md, "Streaming decode"):
 /// `--decode=materialize|stream|auto` picks how replay acquires the
 /// event stream (whole trace in memory vs O(tile) streaming decode
 /// from the trace cache file; auto streams past the
-/// VMIB_DECODE_BUDGET footprint). All three are bit-identity-neutral
-/// by contract, and `--verify` proves it: the encoding x kernel x
-/// decode axis re-encodes every trace both ways, reloads through the
-/// file path, re-runs the sweep under both kernels and both decode
-/// paths, bit-compares all combinations, and emits the
-/// `:decodebandwidth` [timing] line (compressed AND flat decode
-/// events/s, their speedup, the on-disk compression ratio, plus the
-/// streaming tile-read rate and peak tile-ring bytes). The decisions
-/// are re-exported via VMIB_TRACE_COMPRESS / VMIB_GANG_KERNEL /
-/// VMIB_TRACE_DECODE so forked workers agree.
+/// VMIB_DECODE_BUDGET footprint). It is bit-identity-neutral by
+/// contract, and `--verify` proves it: the re-encode axis re-saves
+/// every trace, reloads it through the file path into a fresh
+/// executor, re-runs the sweep under both decode paths, bit-compares
+/// them, and emits the `:decodebandwidth` [timing] line (decode
+/// events/s, the on-disk compression ratio, plus the streaming
+/// tile-read rate and peak tile-ring bytes). The decision is
+/// re-exported via VMIB_TRACE_DECODE so forked workers agree.
 ///
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
@@ -95,7 +88,7 @@
 ///
 /// Audit model (docs/simulation-pipeline.md, "Audit model"):
 /// `--audit=RATE` re-executes a deterministically-sampled subset of
-/// cells through a fully decorrelated execution shape (decode, kernel,
+/// cells through a fully decorrelated execution shape (decode,
 /// schedule and thread count all flipped) and bit-compares. In
 /// orchestrator mode the audits are dispatched like hedges — into idle
 /// worker slots, after the job queue drains — as `--audit-exec`
@@ -118,7 +111,6 @@
 #include "harness/Auditor.h"
 #include "harness/CacheGC.h"
 #include "harness/FaultInjection.h"
-#include "vmcore/GangKernels.h"
 
 #include <cerrno>
 #include <csignal>
@@ -235,22 +227,21 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
     Events = Spec.Suite == "java"
                  ? Executor.java().referenceSteps(Benchmark)
                  : Executor.forth().referenceSteps(Benchmark);
-    Slice =
-        Executor.runSlice(Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd);
+    size_t Computed = 0;
+    Slice = Executor.runSlice(Spec, Job.Workload, Job.MemberBegin,
+                              Job.MemberEnd, nullptr, &Computed);
+    Events *= Computed; // store-served cells replay nothing
   }
   bench::emitTiming(Spec.Name + format(":job%zu", JobIdx), CaptureSeconds,
-                    ReplayTimer.seconds(), Events * Slice.size(),
-                    Slice.size());
+                    ReplayTimer.seconds(), Events, Slice.size());
 
   if (AuditExec) {
     // Banner for the orchestrator's logs: which shape this shard
     // re-executed. Deliberately carries NONE of the summable [audit]
     // count tokens, so it stages zero everywhere.
-    const char *Kernel = std::getenv("VMIB_GANG_KERNEL");
     std::printf("[audit] sweep=%s job=%zu role=shaped-replay "
-                "shape=decode:%s,kernel:%s,schedule:%s,threads:%u\n",
+                "shape=decode:%s,schedule:%s,threads:%u\n",
                 Spec.Name.c_str(), JobIdx, traceDecodeModeId(Spec.Decode),
-                Kernel && *Kernel ? Kernel : "scalar",
                 gangScheduleId(Spec.Schedule),
                 resolveGangThreads(Spec.Threads));
   } else if (Audit.enabled()) {
@@ -342,7 +333,7 @@ bool parseByteSize(const std::string &S, uint64_t &Out) {
   return true;
 }
 
-/// Per-trace encoding report: on-disk vs logical (v1-equivalent)
+/// Per-trace encoding report: on-disk vs logical (8 bytes per event)
 /// bytes for every trace left in the cache after the GC pass, so
 /// `--cache-gc` doubles as the "what is the compression buying"
 /// inspection tool. Silent when the cache is empty or unreadable.
@@ -588,161 +579,101 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                 InProc.size(), GangThreads);
   }
 
-  // Encoding x kernel invariance + raw decode bandwidth: re-encode
-  // every cached trace both ways (v1 flat, v2 delta/varint), reload
-  // through the real file path with a FRESH executor per encoding, and
-  // re-run the sweep under both gang kernels. Every combination must
-  // bit-match the reference cells; the compressed-decode measurements
-  // land in the [timing] artifact as :decodebandwidth. Needs the trace
-  // cache — without VMIB_TRACE_CACHE there are no trace files whose
-  // encoding could differ.
+  // Re-encode invariance + raw decode bandwidth: re-save every trace
+  // from memory, reload it through the real file path (timed, for the
+  // :decodebandwidth line), then re-run the sweep through a FRESH
+  // executor — which loads the re-encoded files, not the traces in
+  // memory — once off the materialized arena and once streamed tile by
+  // tile from the file. Every cell must bit-match the reference. Needs
+  // the trace cache: without VMIB_TRACE_CACHE there are no trace files.
   if (!DispatchTrace::cacheDir().empty()) {
-    const char *PrevEnv = std::getenv("VMIB_GANG_KERNEL");
-    std::string PrevKernel = PrevEnv ? PrevEnv : "";
-    uint64_t DecodedEvents = 0, FlatBytes = 0, CompBytes = 0;
-    double DecodeSeconds = 0, FlatDecodeSeconds = 0;
-    // Streaming-decode measurements off the compressed+scalar pass
-    // (the canonical configuration): tile read time, events streamed,
-    // and the peak tile-ring footprint that proves O(tile) memory.
-    double StreamReadSeconds = 0;
-    uint64_t StreamEvents = 0, PeakRingBytes = 0;
-    bool Ok = true;
-    auto Reencode = [&](bool Compressed, bool Measure) {
-      for (const std::string &B : Spec.Benchmarks) {
-        const DispatchTrace &T = Spec.Suite == "java"
-                                     ? Executor.java().trace(B)
-                                     : Executor.forth().trace(B);
-        uint64_t WH = Spec.Suite == "java"
-                          ? Executor.java().referenceHash(B)
-                          : Executor.forth().referenceHash(B);
-        std::string Path = DispatchTrace::cachePathFor(Spec.Suite + "-" + B);
-        if (Path.empty() || !T.saveEncoded(Path, WH, Compressed)) {
-          std::printf("FAIL: could not re-encode %s as %s\n", B.c_str(),
-                      Compressed ? "compressed" : "flat");
-          return false;
-        }
-        if (!Measure)
-          continue;
-        DispatchTrace::FileInfo Info;
-        if (!DispatchTrace::peekFileInfo(Path, Info)) {
-          std::printf("FAIL: unreadable re-encoded header for %s\n",
-                      B.c_str());
-          return false;
-        }
-        (Compressed ? CompBytes : FlatBytes) += Info.FileBytes;
-        // Time BOTH reload paths so the timing artifact carries the
-        // decode speedup, not just the compressed rate: the flat path
-        // is the pre-compression baseline every later run compares
-        // against.
-        WallTimer DecodeTimer;
-        DispatchTrace Reload;
-        std::string Diag;
-        if (!Reload.load(Path, WH, &Diag)) {
-          std::printf("FAIL: %s reload of %s: %s\n",
-                      Compressed ? "compressed" : "flat", B.c_str(),
-                      Diag.c_str());
-          return false;
-        }
-        (Compressed ? DecodeSeconds : FlatDecodeSeconds) +=
-            DecodeTimer.seconds();
-        if (Compressed)
-          DecodedEvents += Reload.numEvents();
-        if (Reload.contentHash() != T.contentHash()) {
-          std::printf("FAIL: %s content hash changed across re-encoding\n",
-                      B.c_str());
-          return false;
-        }
+    uint64_t DecodedEvents = 0, LogicalBytes = 0, FileBytes = 0;
+    double DecodeSeconds = 0;
+    for (const std::string &B : Spec.Benchmarks) {
+      const DispatchTrace &T = Spec.Suite == "java"
+                                   ? Executor.java().trace(B)
+                                   : Executor.forth().trace(B);
+      uint64_t WH = Spec.Suite == "java" ? Executor.java().referenceHash(B)
+                                         : Executor.forth().referenceHash(B);
+      std::string Path = DispatchTrace::cachePathFor(Spec.Suite + "-" + B);
+      DispatchTrace::FileInfo Info;
+      if (Path.empty() || !T.save(Path, WH) ||
+          !DispatchTrace::peekFileInfo(Path, Info)) {
+        std::printf("FAIL: could not re-encode %s\n", B.c_str());
+        return 1;
       }
-      return true;
-    };
-    for (int Enc = 0; Ok && Enc <= 1; ++Enc) {
-      if (!Reencode(/*Compressed=*/Enc == 1, /*Measure=*/true)) {
-        Ok = false;
-        break;
+      FileBytes += Info.FileBytes;
+      LogicalBytes += Info.LogicalBytes;
+      WallTimer DecodeTimer;
+      DispatchTrace Reload;
+      std::string Diag;
+      if (!Reload.load(Path, WH, &Diag)) {
+        std::printf("FAIL: reload of %s: %s\n", B.c_str(), Diag.c_str());
+        return 1;
       }
-      SweepExecutor Fresh; // loads the re-encoded files, not memory
-      for (const char *Kernel : {"scalar", "simd"}) {
-        ::setenv("VMIB_GANG_KERNEL", Kernel, 1);
-        // The decode axis rides the same combinations: every
-        // (encoding, kernel) cell set replays once off the
-        // materialized arena and once streamed tile-by-tile from the
-        // re-encoded file — bit-identity across ALL of it.
-        for (int Dec = 0; Ok && Dec <= 1; ++Dec) {
-          SweepSpec Run = Serial;
-          Run.Decode = Dec == 1 ? TraceDecodeMode::Stream
-                                : TraceDecodeMode::Materialize;
-          std::string Label =
-              format("%s+%s+%s in-process", Enc == 1 ? "compressed" : "flat",
-                     Kernel, Dec == 1 ? "streaming" : "materialized");
-          std::vector<PerfCounters> EncCells;
-          SweepRunStats RunStats = Fresh.runAll(Run, 1, EncCells);
-          if (!Compare(EncCells, Label.c_str())) {
-            Ok = false;
-            break;
-          }
-          if (Dec == 1 && Enc == 1 && std::strcmp(Kernel, "scalar") == 0) {
-            StreamReadSeconds = RunStats.Load.SourceReadSeconds;
-            StreamEvents = RunStats.Load.SourceEvents;
-            PeakRingBytes = RunStats.Load.PeakTileRingBytes;
-          }
-          if (GangThreads > 1) {
-            SweepSpec Thr = Run; // keeps the decode mode
-            Thr.Threads = GangThreads;
-            Thr.Schedule = GangSchedule::Dynamic;
-            std::vector<PerfCounters> ThrCells;
-            Fresh.runAll(Thr, 1, ThrCells);
-            if (!Compare(ThrCells, (Label + " threaded").c_str())) {
-              Ok = false;
-              break;
-            }
-          }
-        }
-        if (!Ok)
-          break;
+      DecodeSeconds += DecodeTimer.seconds();
+      DecodedEvents += Reload.numEvents();
+      if (Reload.contentHash() != T.contentHash()) {
+        std::printf("FAIL: %s content hash changed across re-encoding\n",
+                    B.c_str());
+        return 1;
       }
     }
-    if (PrevKernel.empty())
-      ::unsetenv("VMIB_GANG_KERNEL");
-    else
-      ::setenv("VMIB_GANG_KERNEL", PrevKernel.c_str(), 1);
-    // Leave the cache in the configured encoding for whoever runs next.
-    if (Ok)
-      Ok = Reencode(DispatchTrace::compressEnabled(), /*Measure=*/false);
-    if (!Ok)
-      return 1;
+    SweepExecutor Fresh;
+    // Streaming-decode measurements off the serial streamed pass: tile
+    // read time, events streamed, and the peak tile-ring footprint that
+    // proves O(tile) memory.
+    GangReplayer::Stats Streamed;
+    for (TraceDecodeMode Mode :
+         {TraceDecodeMode::Materialize, TraceDecodeMode::Stream}) {
+      SweepSpec Run = Serial;
+      Run.Decode = Mode;
+      std::string Label = format("re-encoded %s in-process",
+                                 Mode == TraceDecodeMode::Stream
+                                     ? "streaming"
+                                     : "materialized");
+      std::vector<PerfCounters> EncCells;
+      SweepRunStats RunStats = Fresh.runAll(Run, 1, EncCells);
+      if (!Compare(EncCells, Label.c_str()))
+        return 1;
+      if (Mode == TraceDecodeMode::Stream)
+        Streamed = RunStats.Load;
+      if (GangThreads > 1) {
+        SweepSpec Thr = Run; // keeps the decode mode
+        Thr.Threads = GangThreads;
+        Thr.Schedule = GangSchedule::Dynamic;
+        std::vector<PerfCounters> ThrCells;
+        Fresh.runAll(Thr, 1, ThrCells);
+        if (!Compare(ThrCells, (Label + " threaded").c_str()))
+          return 1;
+      }
+    }
     std::printf("[timing] bench=%s:decodebandwidth events=%llu "
-                "flat_bytes=%llu compressed_bytes=%llu ratio=%.2f "
-                "decode_s=%.3f events_per_s=%.3g bytes_per_s=%.3g "
-                "flat_decode_s=%.3f flat_events_per_s=%.3g "
-                "decode_speedup=%.2f stream_decode_s=%.3f "
+                "compressed_bytes=%llu ratio=%.2f decode_s=%.3f "
+                "events_per_s=%.3g bytes_per_s=%.3g stream_decode_s=%.3f "
                 "stream_events_per_s=%.3g peak_ring_bytes=%llu\n",
                 Spec.Name.c_str(), (unsigned long long)DecodedEvents,
-                (unsigned long long)FlatBytes, (unsigned long long)CompBytes,
-                CompBytes > 0 ? (double)FlatBytes / (double)CompBytes : 0.0,
+                (unsigned long long)FileBytes,
+                FileBytes > 0 ? (double)LogicalBytes / (double)FileBytes
+                              : 0.0,
                 DecodeSeconds,
                 DecodeSeconds > 0 ? (double)DecodedEvents / DecodeSeconds
                                   : 0.0,
-                DecodeSeconds > 0 ? (double)FlatBytes / DecodeSeconds : 0.0,
-                FlatDecodeSeconds,
-                FlatDecodeSeconds > 0
-                    ? (double)DecodedEvents / FlatDecodeSeconds
+                DecodeSeconds > 0 ? (double)LogicalBytes / DecodeSeconds
+                                  : 0.0,
+                Streamed.SourceReadSeconds,
+                Streamed.SourceReadSeconds > 0
+                    ? (double)Streamed.SourceEvents /
+                          Streamed.SourceReadSeconds
                     : 0.0,
-                DecodeSeconds > 0 && FlatDecodeSeconds > 0
-                    ? FlatDecodeSeconds / DecodeSeconds
-                    : 0.0,
-                StreamReadSeconds,
-                StreamReadSeconds > 0
-                    ? (double)StreamEvents / StreamReadSeconds
-                    : 0.0,
-                (unsigned long long)PeakRingBytes);
-    std::printf("verify: %zu cells bit-identical across {flat, compressed} "
-                "encodings x {scalar, simd%s} kernels x {materialized, "
+                (unsigned long long)Streamed.PeakTileRingBytes);
+    std::printf("verify: %zu cells bit-identical across re-encoded trace "
+                "files reloaded through a fresh executor x {materialized, "
                 "streaming} decode\n",
-                InProc.size(),
-                gang::batchedKernelUsesAvx2() ? "/avx2" : "");
+                InProc.size());
   } else {
-    std::printf("note: VMIB_TRACE_CACHE unset; skipping the encoding x "
-                "kernel verify axis\n");
+    std::printf("note: VMIB_TRACE_CACHE unset; skipping the re-encode "
+                "verify axis\n");
   }
 
   std::vector<PerfCounters> OneWorker;
@@ -808,7 +739,6 @@ int main(int argc, char **argv) {
                  "[--threads=N (0 = auto)] [--schedule=static|dynamic] "
                  "[--retries=N] [--backoff-ms=MS] [--job-timeout=MS] "
                  "[--kill-grace=MS] [--hedge=K] [--partial-ok] "
-                 "[--trace-compress=on|off] [--kernel=scalar|simd] "
                  "[--decode=materialize|stream|auto] "
                  "[--result-store | --store-dir=D | --no-result-store] "
                  "[--audit=RATE] [--audit-seed=N] "
@@ -836,9 +766,9 @@ int main(int argc, char **argv) {
   int OverrideExit = 0;
   if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
     return OverrideExit;
-  // --trace-compress / --kernel / --decode re-export through the
-  // environment, so orchestrated workers (which see only the env)
-  // make the same choice this process does.
+  // --decode re-exports through the environment, so orchestrated
+  // workers (which see only the env) make the same choice this
+  // process does.
   if (!bench::applyReplayPathOptions(Opts, OverrideExit))
     return OverrideExit;
   if (Opts.has("emit-spec")) {
