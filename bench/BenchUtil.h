@@ -439,8 +439,7 @@ inline SpeedupMatrix matrixFromCells(const SweepSpec &Spec,
 ///                     composes with --shards into shards × threads)
 ///   --schedule=S      gang member scheduling, `static` (contiguous
 ///                     slices, the default) or `dynamic` (cost-aware
-///                     work-stealing replay + parallel
-///                     deferred-fallback finish); spec `schedule`
+///                     work-stealing replay); spec `schedule`
 ///                     override, bit-identical either way
 ///   --decode=M        replay input acquisition, `materialize` (whole
 ///                     trace in memory), `stream` (O(tile) decode from

@@ -158,17 +158,18 @@ void emitGangLoadLine(const char *ScheduleId, unsigned Threads,
     Steals += St.Workers[W].MembersStolen;
   }
   std::printf("[timing] bench=real_dispatch:gangload schedule=%s threads=%u "
-              "steals=%llu deferred=%llu finish_s=%.4f worker_events=%s "
-              "worker_waits=%s worker_busy_s=%s\n",
+              "steals=%llu deferred=%llu catchup_events=%llu finish_s=%.4f "
+              "worker_events=%s worker_waits=%s worker_busy_s=%s\n",
               ScheduleId, Threads, (unsigned long long)Steals,
-              (unsigned long long)St.DeferredFinishes, St.FinishSeconds,
+              (unsigned long long)St.DeferredFinishes,
+              (unsigned long long)St.CatchUpEvents, St.FinishSeconds,
               Events.c_str(), Waits.c_str(), Busy.c_str());
 }
 
 void BM_GangReplayMixedThreaded(benchmark::State &State) {
   // A deliberately mixed-cost gang — full members on two layouts (the
   // switch one a fused singleton), a tiny-BTB member that overflows
-  // into the deferred exact-LRU fallback, and four cheap-to-moderate
+  // and catches up onto the exact BTB, and four cheap-to-moderate
   // predictor-only members — on a 4-worker pool. Arg(0) = static
   // slices, Arg(1) = the cost-aware dynamic scheduler; the gap between
   // the two cells is the load-balance win on this shape.
@@ -194,7 +195,7 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
     GangReplayer Gang(Trace);
     size_t Base = Gang.addDefault(LThreaded, Cpu);
     Gang.addDefault(LSwitch, Cpu);
-    Gang.addBtb(LThreaded, Cpu, Tiny); // overflows -> deferred fallback
+    Gang.addBtb(LThreaded, Cpu, Tiny); // overflows -> prefix catch-up
     Gang.addBtbPredictorOnly(LThreaded, Cpu, TwoBit, Base);
     Gang.addPredictorOnly(LThreaded, Cpu, PerfectPredictor(), Base);
     Gang.addPredictorOnly(LThreaded, Cpu, NullPredictor(), Base);

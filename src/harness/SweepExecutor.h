@@ -60,8 +60,9 @@ struct SweepRunStats {
   uint64_t ReplayedEvents = 0;
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
-  /// replayed (per-worker events/waits/steals/busy time, deferred
-  /// finish counts) — what the `:loadbalance` timing line renders.
+  /// replayed (per-worker events/waits/steals/busy time, catch-up
+  /// counts, the gangs' own run() wall) — what the `:loadbalance`
+  /// timing line renders.
   GangReplayer::Stats Load;
 };
 

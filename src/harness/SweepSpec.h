@@ -83,9 +83,8 @@ struct SweepSpec {
   /// How each gang's worker pool distributes members: static
   /// contiguous slices (the default, and what a spec without the
   /// field parses as) or the cost-aware dynamic scheduler with
-  /// work-stealing member replay and the parallel deferred-fallback
-  /// finish. Bit-identical either way; dynamic is the fast choice for
-  /// gangs mixing cheap and expensive members.
+  /// work-stealing member replay. Bit-identical either way; dynamic is
+  /// the fast choice for gangs mixing cheap and expensive members.
   GangSchedule Schedule = GangSchedule::Static;
   /// How replay acquires each workload's event stream: materialize
   /// the whole trace in memory (the classic zero-copy path), stream

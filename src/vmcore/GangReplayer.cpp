@@ -8,7 +8,6 @@
 #include <exception>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
 using namespace vmib;
@@ -103,6 +102,7 @@ struct TileSlot {
 std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                                             GangSchedule Schedule,
                                             Stats *StatsOut) {
+  Clock::time_point RunStart = Clock::now();
   // Scratch sizing: a tile never exceeds the trace, so clamp before
   // the decoders allocate (a huge VMIB_GANG_CHUNK must degrade to one
   // whole-trace tile, not a multi-GB zeroed buffer).
@@ -125,7 +125,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
   {
     std::map<const DispatchProgram *, std::vector<size_t>> ByLayout;
     for (size_t I = 0; I < M; ++I)
-      if (const DispatchProgram *L = Members[I].Member->soaLayout())
+      if (const DispatchProgram *L = Members[I]->soaLayout())
         ByLayout[L].push_back(I);
     std::map<uint64_t, std::pair<const DispatchProgram *,
                                  std::vector<size_t>>> ByPrint;
@@ -163,29 +163,33 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
   // mode), otherwise only when the caller asked for stats.
   const bool TimedSource = Source.streaming() || StatsOut != nullptr;
 
-  // Live-member count per group: once a group's last member drops,
-  // decoding for it stops. In the pooled modes a worker decrements
-  // only after its member stopped consuming, so the count can never
-  // read zero while a consumer of a future tile is still active.
+  // Live-member count per group: once a group's last member leaves
+  // (an I-cache catch-up moves it onto the fused kernel), decoding for
+  // it stops. In the pooled modes a worker decrements only after its
+  // member stopped consuming, so the count can never read zero while a
+  // consumer of a future tile is still active.
   std::vector<std::atomic<unsigned>> GroupAlive(Groups.size());
   for (size_t G = 0; G < Groups.size(); ++G)
     GroupAlive[G].store(static_cast<unsigned>(Groups[G].MemberIdx.size()),
                         std::memory_order_relaxed);
 
   /// Advances member \p I over the tile in \p Span (\p C is its
-  /// group's decoded tile, null for fused members). A member that
-  /// overflows its optimistic models drops out of the gang here and
-  /// re-runs through the exact tier in finish().
+  /// group's decoded tile, null for fused members). A member whose
+  /// optimistic models overflowed catches up right here, on the thread
+  /// that owns it for this tile; one that the catch-up moved onto the
+  /// exact I-cache leaves its decode group. GroupOf[I] and
+  /// CatchUpEvents[I] are only touched by member I's current owner.
+  std::vector<uint64_t> CatchUpEvents(M, 0);
   auto RunMemberSpan = [&](size_t I, const gang::DecodedChunk *C,
                            const EventSpan &Span) {
-    Slot &Mem = Members[I];
-    bool Ok = C == nullptr ? Mem.Member->runChunk(Span)
-                           : Mem.Member->runChunkDecoded(*C);
-    if (Ok)
+    GangMember &Mem = *Members[I];
+    if (C == nullptr ? Mem.runChunk(Span) : Mem.runChunkDecoded(*C))
       return;
-    Mem.Active = false;
-    if (GroupOf[I] >= 0)
+    CatchUpEvents[I] += Mem.catchUp(Source, Span.End);
+    if (GroupOf[I] >= 0 && Mem.soaLayout() == nullptr) {
       GroupAlive[GroupOf[I]].fetch_sub(1, std::memory_order_relaxed);
+      GroupOf[I] = -1;
+    }
   };
 
   if (!Pooled) {
@@ -216,11 +220,10 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         if (GroupAlive[G].load(std::memory_order_relaxed) != 0)
           Groups[G].Decoder->decode(Span);
       for (size_t I = 0; I < M; ++I)
-        if (Members[I].Active)
-          RunMemberSpan(I,
-                        GroupOf[I] < 0 ? nullptr
-                                       : &Groups[GroupOf[I]].Decoder->chunk(),
-                        Span);
+        RunMemberSpan(I,
+                      GroupOf[I] < 0 ? nullptr
+                                     : &Groups[GroupOf[I]].Decoder->chunk(),
+                      Span);
     }
   } else {
     // Shared-tile worker pool: the calling thread decodes tiles into a
@@ -340,8 +343,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
           if (!AwaitTile(S, T, WS))
             return;
           for (size_t I = MBegin; I < MEnd; ++I)
-            if (Members[I].Active)
-              (void)ReplayMemberTile(I, S, WS);
+            (void)ReplayMemberTile(I, S, WS);
           S.Pending.fetch_sub(1, std::memory_order_release);
         }
       } catch (...) {
@@ -384,14 +386,12 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                   return;
                 std::this_thread::yield();
               }
-              if (Members[I].Active) {
-                uint64_t Ns = ReplayMemberTile(I, S, WS);
-                uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
-                CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
-                                std::memory_order_relaxed);
-                if (Pass != 0)
-                  ++WS.MembersStolen;
-              }
+              uint64_t Ns = ReplayMemberTile(I, S, WS);
+              uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
+              CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
+                              std::memory_order_relaxed);
+              if (Pass != 0)
+                ++WS.MembersStolen;
               DoneTile[I].store(T + 1, std::memory_order_release);
               S.Pending.fetch_sub(1, std::memory_order_release);
             }
@@ -517,95 +517,21 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     }
   }
 
-  for (const Slot &Mem : Members)
-    St.DeferredFinishes += Mem.Active ? 0 : 1;
+  for (uint64_t Events : CatchUpEvents) {
+    St.DeferredFinishes += Events != 0 ? 1 : 0;
+    St.CatchUpEvents += Events;
+  }
 
-  // Completion pass. Serial (and static-pooled, for PR-4 parity):
-  // add order, so predictor-only members take their fetch baseline
-  // from an earlier member's finished counters. Dynamic-pooled: the
-  // same tasks as a dependency-ordered list drained by a worker pool —
-  // deferred exact-LRU re-runs are whole-trace replays, so the serial
-  // tail they used to form dominates gangs with many overflowing
-  // members.
+  // Completion pass: every member already replayed the whole trace on
+  // models that are exact for it, so this only finalizes — in add
+  // order, so predictor-only members take their fetch baseline from an
+  // earlier member's finished counters.
   Clock::time_point FinishStart = Clock::now();
   std::vector<PerfCounters> Finished;
-  if (!Pooled || Schedule != GangSchedule::Dynamic || M <= 1) {
-    Finished.reserve(M);
-    for (Slot &Mem : Members)
-      Finished.push_back(Mem.Member->finish(Source, Finished));
-  } else {
-    St.ParallelFinish = true;
-    Finished.assign(M, PerfCounters());
-    // Rank = baseline-dependency depth (an edge always points at an
-    // earlier member, so one forward pass computes it). Claiming in
-    // rank order makes the dependency spins deadlock-free: a waited-on
-    // member is always earlier in the claim order, hence already
-    // claimed by a worker that is actively finishing it.
-    std::vector<uint32_t> Rank(M, 0);
-    for (size_t I = 0; I < M; ++I) {
-      size_t Dep = Members[I].Member->finishDependency();
-      if (Dep != GangMember::NoFinishDependency) {
-        assert(Dep < I && "finish dependency must be an earlier member");
-        Rank[I] = Rank[Dep] + 1;
-      }
-    }
-    std::vector<uint32_t> TaskOrder(M);
-    std::iota(TaskOrder.begin(), TaskOrder.end(), 0);
-    std::stable_sort(TaskOrder.begin(), TaskOrder.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       if (Rank[A] != Rank[B])
-                         return Rank[A] < Rank[B];
-                       // Deferred members re-run the whole trace —
-                       // start the long tasks first within a rank.
-                       return !Members[A].Active && Members[B].Active;
-                     });
-
-    std::unique_ptr<std::atomic<uint8_t>[]> Done =
-        std::make_unique<std::atomic<uint8_t>[]>(M);
-    for (size_t I = 0; I < M; ++I)
-      Done[I].store(0, std::memory_order_relaxed);
-    std::atomic<size_t> Cursor{0};
-    std::atomic<bool> Abort{false};
-    std::exception_ptr FirstError;
-    std::mutex ErrorMutex;
-    auto FinishWorker = [&] {
-      try {
-        for (;;) {
-          size_t K = Cursor.fetch_add(1, std::memory_order_relaxed);
-          if (K >= M)
-            return;
-          size_t I = TaskOrder[K];
-          size_t Dep = Members[I].Member->finishDependency();
-          if (Dep != GangMember::NoFinishDependency)
-            while (Done[Dep].load(std::memory_order_acquire) == 0) {
-              if (Abort.load(std::memory_order_relaxed))
-                return;
-              std::this_thread::yield();
-            }
-          Finished[I] = Members[I].Member->finish(Source, Finished);
-          Done[I].store(1, std::memory_order_release);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> Lock(ErrorMutex);
-          if (!FirstError)
-            FirstError = std::current_exception();
-        }
-        Abort.store(true, std::memory_order_relaxed);
-      }
-    };
-    unsigned FinishThreads =
-        std::min<unsigned>(Threads, static_cast<unsigned>(M));
-    std::vector<std::thread> Pool;
-    Pool.reserve(FinishThreads - 1);
-    for (unsigned W = 1; W < FinishThreads; ++W)
-      Pool.emplace_back(FinishWorker);
-    FinishWorker(); // the calling thread drains tasks too
-    for (std::thread &Th : Pool)
-      Th.join();
-    if (FirstError)
-      std::rethrow_exception(FirstError);
-  }
+  Finished.reserve(M);
+  for (std::unique_ptr<GangMember> &Mem : Members)
+    Finished.push_back(Mem->finish(Finished));
   St.FinishSeconds = static_cast<double>(elapsedNs(FinishStart)) * 1e-9;
+  St.ReplayWallSeconds = static_cast<double>(elapsedNs(RunStart)) * 1e-9;
   return Finished;
 }

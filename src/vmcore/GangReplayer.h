@@ -19,16 +19,23 @@
 /// Members carry the same tiered state the per-config replayer uses:
 ///
 ///  - addBtb()/addDefault(): optimistic NoEvictBTB + NoEvictICache
-///    fast path. A member whose optimistic model overflows drops out
-///    of the gang and is *deferred*: finish() re-runs just that member
-///    through the exact-LRU TraceReplayer tier (overflows are the rare
-///    case — tiny BTBs, replication blowing a small I-cache — so the
-///    gang never pays LRU bookkeeping for the common case).
+///    fast path. A member whose optimistic model overflows in tile T
+///    *catches up*: the worker that owns it replays its consumed
+///    prefix [0, end of T) once through the exact models on a private
+///    cursor, and the member continues in the gang from tile T+1.
+///    After a BTB-only overflow it keeps its no-evict I-cache and its
+///    decode group; after an I-cache overflow it replays fused on the
+///    exact LRU models. Overflows are the rare case (tiny BTBs,
+///    replication blowing a small I-cache) and come early in the
+///    trace, so the gang never pays LRU bookkeeping for the common
+///    case and an overflowing member re-runs a short prefix, not the
+///    whole trace.
 ///  - addBtbPredictorOnly()/addPredictorOnly(): branch-stream-only
 ///    members (NullICache) that take the predictor-independent fetch
 ///    counters from an *earlier gang member's* finished result —
-///    baselines resolve in member order at finish() time, so one gang
+///    baselines resolve in add order at finish() time, so one gang
 ///    can carry a full replay and all its dependent predictor sweeps.
+///    A no-evict BTB here catches up the same way.
 ///  - addPredictor(): any concrete predictor type; predict()/update()
 ///    devirtualize into the tile loop exactly as in TraceReplayer.
 ///  - addQuickening(): JVM members own a fresh program copy + layout
@@ -85,7 +92,7 @@ inline void runSpan(const EventSpan &Span, DispatchProgram &Layout,
 
 /// runSpan dispatched on the slim-layout check, with the per-tile
 /// overflow probe. \returns false if an optimistic model overflowed
-/// (the member drops out of the gang).
+/// (the member then catches up).
 ///
 /// The state and predictor are taken by value and moved back: gang
 /// member state lives on the heap behind the member object, and a hot
@@ -129,9 +136,10 @@ inline bool runSpanChecked(const EventSpan &Span,
 /// at decode time. This is what makes full members nearly as cheap as
 /// predictor-only members inside a group. The stream is therefore
 /// only valid for no-evict cache models; exact-LRU members (the
-/// quickening tier, the deferred fallbacks) never consume it. Totals
-/// and the overflow flag stay bit-identical; post-overflow state is
-/// garbage in *both* models and is discarded by the exact fallback.
+/// quickening tier, members caught up after an I-cache overflow)
+/// never consume it. Totals and the overflow flag stay bit-identical;
+/// post-overflow state is garbage in *both* models and is replaced by
+/// the catch-up.
 ///
 /// All counter contributions are sums and the predictor sees the
 /// identical (site, target, hint) sequence, so the decomposition is
@@ -391,6 +399,56 @@ inline void addDecodedAggregates(const DecodedChunk &D, PerfCounters &C,
   C.Mispredictions += D.ColdStubBranches + BranchMisses;
 }
 
+/// Runs the decoded branch stream through the member's predictor
+/// (stack-hoisted, see runSpanChecked) and adds the tile's aggregates
+/// to \p C. \returns false if the predictor overflowed.
+template <class PredictorT>
+inline bool consumeDecodedBranches(const DecodedChunk &D, PerfCounters &C,
+                                   PredictorT &MemberPred) {
+  PredictorT Pred = std::move(MemberPred);
+  uint64_t BranchMisses = runDecodedBranches(D, Pred);
+  bool Ok = !TraceReplayer::overflowed(Pred);
+  MemberPred = std::move(Pred);
+  addDecodedAggregates(D, C, BranchMisses);
+  return Ok;
+}
+
+/// A full member's decoded tile: the first-touch fetch stream through
+/// its no-evict I-cache, then the branch stream. The two are
+/// independent state machines, so each runs as its own tight loop.
+/// \returns false if either model overflowed.
+template <class PredictorT>
+inline bool consumeDecoded(const DecodedChunk &D,
+                           sim::DispatchStateT<NoEvictICache> &S,
+                           PredictorT &Pred) {
+  NoEvictICache ICache = std::move(S.ICache);
+  S.Counters.ICacheMisses += runDecodedFetches(D, ICache);
+  bool Ok = !ICache.overflowed();
+  S.ICache = std::move(ICache);
+  return consumeDecodedBranches(D, S.Counters, Pred) && Ok;
+}
+
+/// The prefix catch-up every overflowing member shares: replays events
+/// [0, End) of \p Source through the fused kernel into the fresh state
+/// \p S and predictor \p Pred. It reads a private cursor (a streaming
+/// source opens one file descriptor per cursor), so it runs on
+/// whichever worker owns the member while the decoder reads ahead.
+/// \returns the events replayed.
+template <class StateT, class PredictorT>
+inline uint64_t replayPrefix(const TraceSource &Source, size_t End,
+                             DispatchProgram &Layout, bool Slim, StateT &S,
+                             PredictorT &Pred) {
+  // 64K-event tiles: one trace-file frame per streamed read.
+  TraceSource::Cursor Cursor = Source.cursor(size_t{1} << 16);
+  std::vector<DispatchTrace::Event> Raw;
+  EventSpan Span;
+  while (Span.End < End && Cursor.nextInto(Raw, Span)) {
+    Span.End = std::min(Span.End, End);
+    (void)runSpanChecked(Span, Layout, Slim, S, Pred);
+  }
+  return End;
+}
+
 /// Detects a stateBytes() audit hook on a model type; models without
 /// one are accounted at sizeof (the stateless baselines).
 template <class T, class = void> struct HasStateBytes : std::false_type {};
@@ -408,51 +466,44 @@ template <class T> inline uint64_t modelStateBytes(const T &Model) {
 } // namespace gang
 
 /// One configuration riding a gang: replays tiles as the cursor hands
-/// them out, then finalizes (running its deferred exact-LRU fallback if
-/// its optimistic models overflowed mid-gang).
+/// them out, catches up once through the exact models if its
+/// optimistic models overflow, then finalizes.
 class GangMember {
 public:
   virtual ~GangMember() = default;
 
   /// Replays one tile of events. \returns false if this member's
-  /// optimistic models overflowed — it then drops out of the gang and
-  /// finish() re-runs it through the exact tier.
+  /// optimistic models overflowed in this tile — the gang then calls
+  /// catchUp() before handing the member its next tile.
   virtual bool runChunk(const EventSpan &Span) = 0;
 
   /// The layout this member can share a GroupDecoder over, or nullptr
-  /// if it must decode fused (quickening members mutate their layout
-  /// mid-stream). When two or more members report the same layout, the
-  /// gang decodes each tile once for the group and drives
-  /// runChunkDecoded() instead of runChunk().
+  /// if it must replay fused (quickening members mutate their layout
+  /// mid-stream; members on an exact LRU I-cache cannot use the
+  /// first-touch fetch stream). When two or more members report the
+  /// same layout, the gang decodes each tile once for the group and
+  /// drives runChunkDecoded() instead of runChunk(); a member whose
+  /// answer turns null after a catch-up leaves its group.
   virtual const DispatchProgram *soaLayout() const { return nullptr; }
 
-  /// Replays one decoded tile (same drop-out contract as runChunk).
-  /// Only called when soaLayout() returned non-null.
+  /// Replays one decoded tile (same overflow contract as runChunk).
+  /// Only called while soaLayout() returns non-null.
   virtual bool runChunkDecoded(const gang::DecodedChunk &D) {
     (void)D;
     return true;
   }
 
-  /// Completes the member: deferred exact fallback if it dropped out,
-  /// fetch-baseline patching for predictor-only members, counter
-  /// finalization. \p Finished holds the results of all *earlier*
-  /// members (baseline references resolve in member order; a parallel
-  /// finish pass passes a full-size vector and guarantees only that
-  /// the finishDependency() entry is already populated). Deferred
-  /// re-runs read the whole stream again through \p Source — under a
-  /// streaming source each fallback opens its own cursor, so deferred
-  /// finishes stay O(tile) and may run concurrently.
-  virtual PerfCounters finish(const TraceSource &Source,
-                              const std::vector<PerfCounters> &Finished) = 0;
+  /// Switches a member whose optimistic models overflowed in the tile
+  /// ending at event \p End to the exact models: replays the consumed
+  /// prefix [0, End) once through them (gang::replayPrefix) so the
+  /// member continues in the gang from the next tile. \returns the
+  /// events replayed.
+  virtual uint64_t catchUp(const TraceSource &Source, size_t End) = 0;
 
-  /// Sentinel for finishDependency(): no earlier-member input needed.
-  static constexpr size_t NoFinishDependency = static_cast<size_t>(-1);
-
-  /// Index of the earlier gang member whose *finished* counters this
-  /// member's finish() reads (the fetch baseline of predictor-only
-  /// members), or NoFinishDependency. The parallel finish pass orders
-  /// and gates tasks on exactly this edge.
-  virtual size_t finishDependency() const { return NoFinishDependency; }
+  /// Finalizes the counters; predictor-only members patch in their
+  /// fetch baseline's I-cache misses. \p Finished holds the results of
+  /// all *earlier* members (baseline references resolve in add order).
+  virtual PerfCounters finish(const std::vector<PerfCounters> &Finished) = 0;
 
   /// Mutable per-member state (predictor + I-cache model + counters),
   /// excluding the (possibly shared) layout — the number the gang
@@ -462,9 +513,9 @@ public:
 
 namespace gang {
 
-/// Full replay under a BTB geometry: no-evict fast path, deferred
-/// exact fallback. Idealised configs (Entries == 0) keep the exact BTB
-/// and only run the I-cache optimistically, mirroring
+/// Full replay under a BTB geometry: no-evict fast path with a prefix
+/// catch-up on overflow. Idealised configs (Entries == 0) keep the
+/// exact BTB and only run the I-cache optimistically, mirroring
 /// TraceReplayer::replayBtb.
 class BtbMember final : public GangMember {
 public:
@@ -475,80 +526,68 @@ public:
     if (Config.Entries != 0)
       FastPred = std::make_unique<NoEvictBTB>(Config);
     else
-      IdealPred = std::make_unique<BTB>(Config);
+      ExactPred = std::make_unique<BTB>(Config);
   }
 
   bool runChunk(const EventSpan &Span) override {
-    bool Ok = FastPred
-                  ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
-                  : runSpanChecked(Span, *Layout, Slim, S, *IdealPred);
-    if (!Ok)
-      ICacheOverflowed = S.ICache.overflowed();
-    return Ok;
+    if (ExactS) {
+      (void)runSpanChecked(Span, *Layout, Slim, *ExactS, *ExactPred);
+      return true;
+    }
+    return FastPred ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
+                    : runSpanChecked(Span, *Layout, Slim, S, *ExactPred);
   }
 
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
+  const DispatchProgram *soaLayout() const override {
+    return ExactS ? nullptr : Layout.get();
+  }
 
   bool runChunkDecoded(const DecodedChunk &D) override {
-    bool Ok = FastPred ? consumeDecoded(D, *FastPred)
-                       : consumeDecoded(D, *IdealPred);
-    if (!Ok)
-      ICacheOverflowed = S.ICache.overflowed();
-    return Ok;
+    return FastPred ? consumeDecoded(D, S, *FastPred)
+                    : consumeDecoded(D, S, *ExactPred);
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    if (!Dropped())
-      return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
-    // Deferred per-member fallback on a fresh exact BTB. When only the
-    // no-evict BTB overflowed, the optimistic I-cache tier inside
-    // replay() still applies; a proven I-cache overflow is
-    // deterministic, so go straight to the exact-LRU models.
-    BTB Exact(Config);
-    if (ICacheOverflowed)
-      return TraceReplayer::replayExactNoQuicken(Source, *Layout, Cpu, Exact);
-    return TraceReplayer::replay(Source, *Layout, /*MutableProgram=*/nullptr,
-                                 Cpu, Exact);
+  uint64_t catchUp(const TraceSource &Source, size_t End) override {
+    ExactPred = std::make_unique<BTB>(Config);
+    FastPred.reset();
+    if (S.ICache.overflowed()) {
+      // Exact BTB and exact LRU I-cache from here on, fused: the
+      // first-touch fetch stream cannot drive an LRU cache.
+      ExactS = std::make_unique<sim::DispatchState>(Cpu.ICache);
+      return replayPrefix(Source, End, *Layout, Slim, *ExactS, *ExactPred);
+    }
+    // Only the BTB overflowed: the no-evict I-cache and its misses stay
+    // valid, so the prefix re-derives just the branch-side counters.
+    sim::DispatchStateT<sim::NullICache> Branches(Cpu.ICache);
+    uint64_t Events =
+        replayPrefix(Source, End, *Layout, Slim, Branches, *ExactPred);
+    uint64_t FetchMisses = S.Counters.ICacheMisses;
+    S.Counters = Branches.Counters;
+    S.Counters.ICacheMisses = FetchMisses;
+    return Events;
+  }
+
+  PerfCounters finish(const std::vector<PerfCounters> &) override {
+    return TraceReplayer::finalize(ExactS ? ExactS->Counters : S.Counters,
+                                   *Layout, Cpu);
   }
 
   uint64_t stateBytes() const override {
     return sizeof(*this) + modelStateBytes(S.ICache) +
+           (ExactS ? modelStateBytes(ExactS->ICache) : 0) +
            (FastPred ? modelStateBytes(*FastPred)
-                     : modelStateBytes(*IdealPred));
+                     : modelStateBytes(*ExactPred));
   }
 
 private:
-  bool Dropped() const {
-    return ICacheOverflowed ||
-           (FastPred && FastPred->overflowed());
-  }
-
-  template <class PredictorT>
-  bool consumeDecoded(const DecodedChunk &D, PredictorT &MemberPred) {
-    // Stack-hoist the models (see runSpanChecked); the decoded fetch
-    // and branch streams are independent state machines, so each runs
-    // as its own tight loop.
-    NoEvictICache ICache = std::move(S.ICache);
-    PredictorT Pred = std::move(MemberPred);
-    uint64_t FetchMisses = runDecodedFetches(D, ICache);
-    uint64_t BranchMisses = runDecodedBranches(D, Pred);
-    bool Ok = !ICache.overflowed() && !TraceReplayer::overflowed(Pred);
-    S.ICache = std::move(ICache);
-    MemberPred = std::move(Pred);
-    S.Counters.ICacheMisses += FetchMisses;
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    return Ok;
-  }
-
   std::shared_ptr<DispatchProgram> Layout;
   CpuConfig Cpu;
   BTBConfig Config;
   bool Slim;
   sim::DispatchStateT<NoEvictICache> S;
-  std::unique_ptr<NoEvictBTB> FastPred; // Entries != 0
-  std::unique_ptr<BTB> IdealPred;       // Entries == 0
-  bool ICacheOverflowed = false;
+  std::unique_ptr<sim::DispatchState> ExactS; // after an I-cache catch-up
+  std::unique_ptr<NoEvictBTB> FastPred;       // until the first catch-up
+  std::unique_ptr<BTB> ExactPred;             // Entries == 0, or after it
 };
 
 /// Branch-stream-only replay of a BTB geometry (capacity sweeps):
@@ -564,57 +603,38 @@ public:
     if (Config.Entries != 0)
       FastPred = std::make_unique<NoEvictBTB>(Config);
     else
-      IdealPred = std::make_unique<BTB>(Config);
+      ExactPred = std::make_unique<BTB>(Config);
   }
 
   bool runChunk(const EventSpan &Span) override {
-    if (FastPred) {
-      bool Ok = runSpanChecked(Span, *Layout, Slim, S, *FastPred);
-      Overflowed |= !Ok;
-      return Ok;
-    }
-    return runSpanChecked(Span, *Layout, Slim, S, *IdealPred);
+    return FastPred ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
+                    : runSpanChecked(Span, *Layout, Slim, S, *ExactPred);
   }
 
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
 
   bool runChunkDecoded(const DecodedChunk &D) override {
-    // Branch stream only: the fetch counters come from the baseline.
-    uint64_t BranchMisses;
-    bool Ok = true;
-    if (FastPred) {
-      NoEvictBTB Pred = std::move(*FastPred);
-      BranchMisses = runDecodedBranches(D, Pred);
-      Ok = !Pred.overflowed();
-      *FastPred = std::move(Pred);
-      Overflowed |= !Ok;
-    } else {
-      BTB Pred = std::move(*IdealPred);
-      BranchMisses = runDecodedBranches(D, Pred);
-      *IdealPred = std::move(Pred);
-    }
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    return Ok;
+    return FastPred ? consumeDecodedBranches(D, S.Counters, *FastPred)
+                    : consumeDecodedBranches(D, S.Counters, *ExactPred);
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &Finished) override {
+  uint64_t catchUp(const TraceSource &Source, size_t End) override {
+    ExactPred = std::make_unique<BTB>(Config);
+    FastPred.reset();
+    S = sim::DispatchStateT<sim::NullICache>(Cpu.ICache);
+    return replayPrefix(Source, End, *Layout, Slim, S, *ExactPred);
+  }
+
+  PerfCounters finish(const std::vector<PerfCounters> &Finished) override {
     assert(FetchBaseline < Finished.size() &&
            "fetch baseline must be an earlier gang member");
-    if (Overflowed) {
-      BTB Exact(Config);
-      return TraceReplayer::replayPredictorOnly(Source, *Layout, Cpu, Exact,
-                                                Finished[FetchBaseline]);
-    }
     S.Counters.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
     return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
   }
 
-  size_t finishDependency() const override { return FetchBaseline; }
-
   uint64_t stateBytes() const override {
     return sizeof(*this) + (FastPred ? modelStateBytes(*FastPred)
-                                     : modelStateBytes(*IdealPred));
+                                     : modelStateBytes(*ExactPred));
   }
 
 private:
@@ -625,8 +645,7 @@ private:
   bool Slim;
   sim::DispatchStateT<sim::NullICache> S;
   std::unique_ptr<NoEvictBTB> FastPred;
-  std::unique_ptr<BTB> IdealPred;
-  bool Overflowed = false;
+  std::unique_ptr<BTB> ExactPred;
 };
 
 /// Full replay with an arbitrary concrete predictor type (two-level,
@@ -640,37 +659,37 @@ public:
         Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
 
   bool runChunk(const EventSpan &Span) override {
-    bool Ok = runSpanChecked(Span, *Layout, Slim, S, Pred);
-    Overflowed |= !Ok;
-    return Ok;
+    if (ExactS) {
+      (void)runSpanChecked(Span, *Layout, Slim, *ExactS, Pred);
+      return true;
+    }
+    return runSpanChecked(Span, *Layout, Slim, S, Pred);
   }
 
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
+  const DispatchProgram *soaLayout() const override {
+    return ExactS ? nullptr : Layout.get();
+  }
 
   bool runChunkDecoded(const DecodedChunk &D) override {
-    NoEvictICache ICache = std::move(S.ICache);
-    PredictorT LocalPred = std::move(Pred);
-    uint64_t FetchMisses = runDecodedFetches(D, ICache);
-    uint64_t BranchMisses = runDecodedBranches(D, LocalPred);
-    bool Ok = !ICache.overflowed() && !TraceReplayer::overflowed(LocalPred);
-    S.ICache = std::move(ICache);
-    Pred = std::move(LocalPred);
-    S.Counters.ICacheMisses += FetchMisses;
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    Overflowed |= !Ok;
-    return Ok;
+    return consumeDecoded(D, S, Pred);
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    if (!Overflowed)
-      return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
-    Pred.reset(); // discard the overflowed attempt, as replay() does
-    return TraceReplayer::replayExactNoQuicken(Source, *Layout, Cpu, Pred);
+  uint64_t catchUp(const TraceSource &Source, size_t End) override {
+    // Any overflow lands on the exact I-cache with a reset predictor,
+    // as TraceReplayer::replay's fallback does.
+    Pred.reset();
+    ExactS = std::make_unique<sim::DispatchState>(Cpu.ICache);
+    return replayPrefix(Source, End, *Layout, Slim, *ExactS, Pred);
+  }
+
+  PerfCounters finish(const std::vector<PerfCounters> &) override {
+    return TraceReplayer::finalize(ExactS ? ExactS->Counters : S.Counters,
+                                   *Layout, Cpu);
   }
 
   uint64_t stateBytes() const override {
     return sizeof(*this) + modelStateBytes(S.ICache) +
+           (ExactS ? modelStateBytes(ExactS->ICache) : 0) +
            modelStateBytes(Pred);
   }
 
@@ -680,7 +699,7 @@ private:
   PredictorT Pred;
   bool Slim;
   sim::DispatchStateT<NoEvictICache> S;
-  bool Overflowed = false;
+  std::unique_ptr<sim::DispatchState> ExactS; // after the catch-up
 };
 
 /// Branch-stream-only replay with an arbitrary concrete predictor;
@@ -696,37 +715,28 @@ public:
         Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
 
   bool runChunk(const EventSpan &Span) override {
-    bool Ok = runSpanChecked(Span, *Layout, Slim, S, Pred);
-    Overflowed |= !Ok;
-    return Ok;
+    return runSpanChecked(Span, *Layout, Slim, S, Pred) || CaughtUp;
   }
 
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
 
   bool runChunkDecoded(const DecodedChunk &D) override {
-    PredictorT LocalPred = std::move(Pred);
-    uint64_t BranchMisses = runDecodedBranches(D, LocalPred);
-    bool Ok = !TraceReplayer::overflowed(LocalPred);
-    Pred = std::move(LocalPred);
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    Overflowed |= !Ok;
-    return Ok;
+    return consumeDecodedBranches(D, S.Counters, Pred) || CaughtUp;
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &Finished) override {
+  uint64_t catchUp(const TraceSource &Source, size_t End) override {
+    Pred.reset();
+    S = sim::DispatchStateT<sim::NullICache>(Cpu.ICache);
+    CaughtUp = true;
+    return replayPrefix(Source, End, *Layout, Slim, S, Pred);
+  }
+
+  PerfCounters finish(const std::vector<PerfCounters> &Finished) override {
     assert(FetchBaseline < Finished.size() &&
            "fetch baseline must be an earlier gang member");
-    if (Overflowed) {
-      Pred.reset();
-      return TraceReplayer::replayPredictorOnly(Source, *Layout, Cpu, Pred,
-                                                Finished[FetchBaseline]);
-    }
     S.Counters.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
     return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
   }
-
-  size_t finishDependency() const override { return FetchBaseline; }
 
   uint64_t stateBytes() const override {
     return sizeof(*this) + modelStateBytes(Pred);
@@ -739,7 +749,7 @@ private:
   size_t FetchBaseline;
   bool Slim;
   sim::DispatchStateT<sim::NullICache> S;
-  bool Overflowed = false;
+  bool CaughtUp = false;
 };
 
 /// JVM member: owns a fresh program copy and the layout built over it,
@@ -794,10 +804,13 @@ public:
     return true; // exact models never overflow
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    assert(QIdx == Source.numQuickens() && "unconsumed quicken records");
-    (void)Source;
+  uint64_t catchUp(const TraceSource &, size_t) override {
+    assert(false && "exact models never overflow");
+    return 0;
+  }
+
+  PerfCounters finish(const std::vector<PerfCounters> &) override {
+    assert(QIdx == Quickens.size() && "unconsumed quicken records");
     return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
   }
 
@@ -937,14 +950,14 @@ public:
   const std::vector<uint64_t> &finalCosts() const { return FinalCostNs; }
 
   /// Pool accounting of one run(): who replayed how much, who waited,
-  /// who stole, and what the finish tail cost. Workers is empty for
+  /// who stole, and what the catch-ups cost. Workers is empty for
   /// serial runs (no pool to account). The sweep layers aggregate this
   /// across gangs (merge) and sweep_driver --verify renders it as the
   /// `:loadbalance` timing line.
   struct Stats {
     struct Worker {
       /// Member-events this worker replayed (tile span summed per
-      /// member execution, drop-outs included up to their drop tile).
+      /// member execution; catch-up prefixes count in CatchUpEvents).
       uint64_t EventsReplayed = 0;
       /// Tiles where the worker stalled waiting for the decoder to
       /// publish (decode-bound or arrived early).
@@ -952,18 +965,23 @@ public:
       /// Dynamic only: member executions taken outside the worker's
       /// cost-weighted plan slice (the steal count).
       uint64_t MembersStolen = 0;
-      /// Wall time spent inside replay kernels (busy fraction =
-      /// BusySeconds / replay wall clock).
+      /// Wall time spent inside replay kernels, catch-ups included
+      /// (busy fraction = BusySeconds / ReplayWallSeconds).
       double BusySeconds = 0;
     };
     std::vector<Worker> Workers;
-    /// Members that dropped out and re-ran through the exact tier.
+    /// Members whose optimistic models overflowed and caught up
+    /// through the exact tier (counted once per member).
     uint64_t DeferredFinishes = 0;
-    /// Wall clock of the completion pass (deferred fallbacks,
-    /// baseline patching, finalization).
+    /// Events the catch-ups replayed: each one re-runs its member's
+    /// consumed prefix, not the whole trace.
+    uint64_t CatchUpEvents = 0;
+    /// Wall clock of the completion pass (baseline patching and
+    /// finalization).
     double FinishSeconds = 0;
-    /// Whether the finish pass drained on the worker pool.
-    bool ParallelFinish = false;
+    /// Wall clock of run() itself, completion pass included — the
+    /// denominator of the workers' busy fractions.
+    double ReplayWallSeconds = 0;
     /// Whether this run decoded its tiles from the trace file
     /// (streaming TraceSource) rather than a materialized arena.
     bool StreamedDecode = false;
@@ -990,8 +1008,9 @@ public:
         Workers[I].BusySeconds += O.Workers[I].BusySeconds;
       }
       DeferredFinishes += O.DeferredFinishes;
+      CatchUpEvents += O.CatchUpEvents;
       FinishSeconds += O.FinishSeconds;
-      ParallelFinish |= O.ParallelFinish;
+      ReplayWallSeconds += O.ReplayWallSeconds;
       StreamedDecode |= O.StreamedDecode;
       SourceReadSeconds += O.SourceReadSeconds;
       SourceEvents += O.SourceEvents;
@@ -1004,13 +1023,13 @@ public:
   /// much cache the gang competes for next to one trace tile.
   uint64_t stateBytes() const {
     uint64_t Bytes = 0;
-    for (const Slot &M : Members)
-      Bytes += M.Member->stateBytes();
+    for (const std::unique_ptr<GangMember> &M : Members)
+      Bytes += M->stateBytes();
     return Bytes;
   }
 
-  /// One chunk-tiled pass over the trace, then per-member completion
-  /// (deferred exact fallbacks, baseline patching). \returns one
+  /// One chunk-tiled pass over the trace, then per-member
+  /// finalization (baseline patching, in add order). \returns one
   /// finalized PerfCounters per member, in add order. The gang is
   /// spent afterwards; build a new one for another pass.
   ///
@@ -1020,7 +1039,7 @@ public:
   /// it, distributed per \p Schedule:
   ///
   ///  - GangSchedule::Static — fixed near-equal contiguous member
-  ///    slices; finish() drains serially in add order (PR-4 parity).
+  ///    slices.
   ///  - GangSchedule::Dynamic — the decoder publishes a cost-weighted
   ///    owner table with every tile (LPT over per-member replay cost
   ///    measured on earlier tiles); a worker first claims its planned
@@ -1028,11 +1047,11 @@ public:
   ///    claimed yet. Claims are per (member, tile) — exactly one owner
   ///    per member per tile, serialized against the member's previous
   ///    tile — so any steal schedule observes the serial event order.
-  ///    The finish tail (deferred exact-LRU fallbacks, baseline
-  ///    patching) then drains on the same pool as a
-  ///    dependency-ordered task list: baseline members before the
-  ///    predictor-only members that read their counters, deferred
-  ///    (expensive) re-runs first within a rank.
+  ///
+  /// A member whose optimistic models overflow in tile T catches up
+  /// on the worker that owns it for T (GangMember::catchUp) and
+  /// replays tile T+1 onward on the exact models, so no member leaves
+  /// the gang.
   ///
   /// Counters are bit-identical across every (Threads, Schedule)
   /// combination. \p StatsOut, when non-null, receives the pool
@@ -1043,18 +1062,13 @@ public:
 
 private:
   size_t adopt(std::unique_ptr<GangMember> Member) {
-    Members.push_back({std::move(Member), true});
+    Members.push_back(std::move(Member));
     return Members.size() - 1;
   }
 
-  struct Slot {
-    std::unique_ptr<GangMember> Member;
-    bool Active;
-  };
-
   TraceSource Source;
   size_t ChunkEvents;
-  std::vector<Slot> Members;
+  std::vector<std::unique_ptr<GangMember>> Members;
   std::vector<uint64_t> SeedCostNs;
   std::vector<uint64_t> FinalCostNs;
 };

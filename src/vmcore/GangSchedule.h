@@ -22,14 +22,13 @@ namespace vmib {
 
 enum class GangSchedule : uint8_t {
   /// Fixed near-equal contiguous member slices, one owner per member
-  /// for the whole pass; finish() drains serially in add order (the
-  /// PR-4 baseline, and what old spec files parse as).
+  /// for the whole pass (the PR-4 baseline, and what old spec files
+  /// parse as).
   Static,
   /// Cost-aware dynamic scheduling: the decoder builds a cost-weighted
   /// owner table per tile from measured member replay cost, idle
   /// workers steal whole members at tile boundaries (one owner per
-  /// member *per tile*), and the deferred-fallback finish pass drains
-  /// on the worker pool in baseline-dependency order.
+  /// member *per tile*).
   Dynamic,
 };
 

@@ -2,10 +2,10 @@
 ///
 /// The contract of the gang replay engine: counters produced by one
 /// chunk-tiled GangReplayer pass — SoA group decode, first-touch fetch
-/// streams, baseline-linked predictor-only members, deferred
-/// exact-LRU fallbacks — must be *bit-identical* to per-config
+/// streams, baseline-linked predictor-only members, prefix catch-ups
+/// of overflowing members — must be *bit-identical* to per-config
 /// TraceReplayer calls, across both suites, all variants, BTB capacity
-/// sweeps (including overflow fallbacks) and the quickening tier. Also
+/// sweeps (including overflows) and the quickening tier. Also
 /// covers the trace chunk cursor, binary trace serialization (save →
 /// load → replay round trip, hash rejection), the labs' serialized
 /// trace cache (VMIB_TRACE_CACHE) and the capture/replay pipeline
@@ -205,8 +205,8 @@ TEST(GangReplay, MixedPredictorGangSharedLayouts) {
 
 TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
   // The ablation_btb_sweep shape, with capacities small enough that
-  // the no-evict members overflow and take the deferred per-member
-  // exact-LRU fallback (both the full and the predictor-only tiers).
+  // the no-evict members overflow and catch up onto the exact BTB
+  // (both the full and the predictor-only tiers).
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
@@ -516,7 +516,7 @@ namespace {
 /// Builds the mixed-tier Forth gang of the thread-invariance matrix
 /// over \p Trace and runs it: full members on two CPUs (separately
 /// built layouts — fingerprint-grouped), a tiny-BTB member that
-/// overflows into the deferred exact-LRU fallback, baseline-linked
+/// overflows and catches up onto the exact BTB, baseline-linked
 /// predictor-only members, and a fused singleton.
 std::vector<PerfCounters>
 runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
@@ -535,7 +535,7 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   BTBConfig Tiny;
   Tiny.Entries = 16;
   Tiny.Ways = 2;
-  Gang.addBtb(L, P4, Tiny); // overflows -> deferred exact-LRU fallback
+  Gang.addBtb(L, P4, Tiny); // overflows -> prefix catch-up
   BTBConfig TwoBit = P4.Btb;
   TwoBit.TwoBitCounters = true;
   Gang.addBtbPredictorOnly(L, P4, TwoBit, Base);
@@ -574,7 +574,7 @@ runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
 TEST(GangReplay, ForthThreadCountInvarianceMatrix) {
   // The parallel-replay contract: any (threads, chunk, schedule)
   // combination is bit-identical to the serial gang — including the
-  // overflow/exact-LRU fallback member and the fingerprint-shared
+  // overflowing catch-up member and the fingerprint-shared
   // cross-CPU group. Chunk=1 over a 60K-event prefix gives the dynamic
   // scheduler tens of thousands of tiny tiles, so the claim/steal
   // machinery is exercised under maximal contention (a forced-steal
@@ -627,65 +627,164 @@ TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
       }
 }
 
-TEST(GangReplay, ParallelFinishBitIdenticalWithDeferredMembers) {
-  // The parallel-finish contract: a gang whose finish tail mixes
-  // deferred exact-LRU re-runs (several overflowing tiny-BTB members),
-  // baseline members and predictor-only dependents — including a
-  // dependent whose fetch baseline is itself a *deferred* member —
-  // produces bit-identical counters whether the tail drains serially
-  // (serial gang, static pool) or on the dependency-ordered worker
-  // pool (dynamic), and the stats confirm the parallel pass ran.
+namespace {
+
+/// Index of the event at which the no-evict models of (\p Cpu,
+/// \p Config) over \p Layout first overflow — the event whose tile
+/// triggers a gang member's catch-up — or numEvents() if they never do.
+size_t firstOverflowEvent(const DispatchTrace &T, DispatchProgram &Layout,
+                          const CpuConfig &Cpu, const BTBConfig &Config) {
+  sim::DispatchStateT<NoEvictICache> S(Cpu.ICache);
+  NoEvictBTB Pred(Config);
+  sim::NullObserver Obs;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    sim::step(Layout, S, Pred, Obs, DispatchTrace::cur(T.events()[I]),
+              DispatchTrace::next(T.events()[I]));
+    if (S.ICache.overflowed() || Pred.overflowed())
+      return I;
+  }
+  return T.numEvents();
+}
+
+} // namespace
+
+TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
+  // The catch-up contract: a member whose optimistic model overflows
+  // in tile T replays [0, end of T) once through the exact models and
+  // stays in the gang. Every member kind that can overflow rides one
+  // gang — BTB-only overflows (tiny BTBs: they keep the no-evict
+  // I-cache and the decode group), I-cache overflows (a CPU with a
+  // tiny I-cache: they leave the group and replay fused on the exact
+  // LRU models), predictor-only members with a tiny BTB, and
+  // predictor-only members whose fetch baseline is a caught-up
+  // member. Overflow is placed in the first, a middle and the last
+  // tile of the pass; each placement runs materialized and streamed,
+  // serial and pooled under both schedulers, and every cell must equal
+  // the per-config TraceReplayer result.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
+  CpuConfig TinyCache = P4;
+  TinyCache.ICache.SizeBytes = 1024;
+  TinyCache.ICache.Ways = 2;
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
+  VariantSpec Switch = makeVariant(DispatchStrategy::Switch);
   std::shared_ptr<DispatchProgram> L = Lab.buildLayout("gray", Threaded);
+  std::shared_ptr<DispatchProgram> LSwitch = Lab.buildLayout("gray", Switch);
+  DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
+  BTBConfig Tiny;
+  Tiny.Entries = 16;
+  Tiny.Ways = 2;
+  BTBConfig Tinier = Tiny;
+  Tinier.Entries = 8;
+  BTBConfig Mid = P4.Btb;
+  Mid.Entries = 128;
+  TwoLevelConfig TL;
 
-  auto BuildAndRun = [&](unsigned Threads, GangSchedule Schedule,
+  // The gang and, member for member, its per-config oracle.
+  auto BuildAndRun = [&](const TraceSource &Source, size_t Chunk,
+                         unsigned Threads, GangSchedule Schedule,
                          GangReplayer::Stats *St) {
-    GangReplayer Gang(Prefix, /*Chunk=*/4096);
+    GangReplayer Gang(Source, Chunk);
     size_t Base = Gang.addDefault(L, P4);
-    std::vector<size_t> TinyIdx;
-    for (uint32_t Entries : {8u, 16u, 32u}) {
-      BTBConfig Tiny;
-      Tiny.Entries = Entries;
-      Tiny.Ways = 2;
-      TinyIdx.push_back(Gang.addBtb(L, P4, Tiny)); // all overflow
-    }
-    BTBConfig TwoBit = P4.Btb;
-    TwoBit.TwoBitCounters = true;
-    Gang.addBtbPredictorOnly(L, P4, TwoBit, Base);
-    // Dependent on a deferred member: its finish must wait for the
-    // tiny member's whole-trace exact re-run, not just any result.
-    BTBConfig Mid = P4.Btb;
-    Mid.Entries = 128;
-    Gang.addBtbPredictorOnly(L, P4, Mid, TinyIdx[0]);
+    size_t TinyBtb = Gang.addBtb(L, P4, Tiny);
+    Gang.addBtb(L, P4, Tinier);
+    size_t TinyIC = Gang.addDefault(L, TinyCache);
+    Gang.addBtb(L, TinyCache, Tiny); // both models overflow
+    Gang.addBtbPredictorOnly(L, P4, Mid, TinyBtb);
+    Gang.addBtbPredictorOnly(L, P4, Tiny, Base);
+    Gang.addPredictor(L, TinyCache, TwoLevelPredictor(TL));
+    Gang.addPredictorOnly(L, TinyCache, TwoLevelPredictor(TL), TinyIC);
+    Gang.addDefault(LSwitch, TinyCache); // fused singleton
     return Gang.run(Threads, Schedule, St);
   };
+  auto Oracle = [&](const DispatchTrace &T) {
+    std::vector<PerfCounters> R;
+    R.push_back(TraceReplayer::replayBtb(T, *L, nullptr, P4, P4.Btb));
+    R.push_back(TraceReplayer::replayBtb(T, *L, nullptr, P4, Tiny));
+    R.push_back(TraceReplayer::replayBtb(T, *L, nullptr, P4, Tinier));
+    R.push_back(
+        TraceReplayer::replayBtb(T, *L, nullptr, TinyCache, TinyCache.Btb));
+    R.push_back(TraceReplayer::replayBtb(T, *L, nullptr, TinyCache, Tiny));
+    R.push_back(TraceReplayer::replayBtbPredictorOnly(T, *L, P4, Mid, R[1]));
+    R.push_back(TraceReplayer::replayBtbPredictorOnly(T, *L, P4, Tiny, R[0]));
+    TwoLevelPredictor Full(TL), Only(TL);
+    R.push_back(TraceReplayer::replay(T, *L, nullptr, TinyCache, Full));
+    R.push_back(
+        TraceReplayer::replayPredictorOnly(T, *L, TinyCache, Only, R[3]));
+    R.push_back(TraceReplayer::replayBtb(T, *LSwitch, nullptr, TinyCache,
+                                         TinyCache.Btb));
+    return R;
+  };
 
-  GangReplayer::Stats SerialSt;
-  std::vector<PerfCounters> Serial =
-      BuildAndRun(1, GangSchedule::Static, &SerialSt);
-  EXPECT_FALSE(SerialSt.ParallelFinish);
-  EXPECT_GE(SerialSt.DeferredFinishes, 3u)
-      << "tiny BTBs must overflow for this test to bite";
-
-  GangReplayer::Stats StaticSt, DynSt;
-  std::vector<PerfCounters> StaticR =
-      BuildAndRun(4, GangSchedule::Static, &StaticSt);
-  std::vector<PerfCounters> DynR =
-      BuildAndRun(4, GangSchedule::Dynamic, &DynSt);
-  EXPECT_FALSE(StaticSt.ParallelFinish); // PR-4 parity under static
-  EXPECT_TRUE(DynSt.ParallelFinish);
-  EXPECT_EQ(DynSt.DeferredFinishes, SerialSt.DeferredFinishes);
-  ASSERT_EQ(StaticR.size(), Serial.size());
-  ASSERT_EQ(DynR.size(), Serial.size());
-  for (size_t I = 0; I < Serial.size(); ++I) {
-    expectEqualCounters(Serial[I], StaticR[I],
-                        "static member " + std::to_string(I));
-    expectEqualCounters(Serial[I], DynR[I],
-                        "dynamic member " + std::to_string(I));
+  // Placements relative to a probe member's overflow event E (tile
+  // index E / Chunk): the first tile, a middle tile, and — on a trace
+  // cut right after E — the last tile. Probes: the tiny BTB (BTB-only
+  // overflow) and the tiny I-cache.
+  struct Placement {
+    DispatchTrace Trace;
+    size_t Chunk;
+    std::string What;
+    bool EndsAtOverflow; ///< the probe's catch-up is the whole trace
+  };
+  std::vector<Placement> Placements;
+  const std::pair<const char *, size_t> Probes[] = {
+      {"btb", firstOverflowEvent(Prefix, *L, P4, Tiny)},
+      {"icache", firstOverflowEvent(Prefix, *L, TinyCache, TinyCache.Btb)}};
+  for (const auto &[Name, E] : Probes) {
+    ASSERT_GE(E, 8u) << Name << " probe overflows too early to place";
+    ASSERT_LT(E, Prefix.numEvents() / 4)
+        << Name << " probe must overflow for this test to bite";
+    size_t Third = (E + 1) / 3;
+    Placements.push_back(
+        {Prefix, E + 1, std::string(Name) + "/first", false});
+    Placements.push_back(
+        {Prefix, Third, std::string(Name) + "/middle", false});
+    Placements.push_back({prefixTrace(Prefix, E + 1), Third,
+                          std::string(Name) + "/last", true});
   }
+
+  const std::string Path =
+      "/tmp/vmib-catchup-" + std::to_string(::getpid()) + ".vmibtrace";
+  for (const Placement &P : Placements) {
+    size_t N = P.Trace.numEvents();
+    std::vector<PerfCounters> Expected = Oracle(P.Trace);
+    ASSERT_TRUE(P.Trace.save(Path, /*WorkloadHash=*/0x1234)) << P.What;
+    TraceSource Streamed;
+    ASSERT_TRUE(TraceSource::openStreaming(Path, 0x1234, Streamed))
+        << P.What;
+
+    bool First = true;
+    GangReplayer::Stats Ref;
+    for (const TraceSource &Source : {TraceSource(P.Trace), Streamed})
+      for (unsigned Threads : {1u, 4u})
+        for (GangSchedule Schedule :
+             {GangSchedule::Static, GangSchedule::Dynamic}) {
+          std::string What = P.What + (Source.streaming() ? " stream" : "") +
+                             " threads " + std::to_string(Threads) + " " +
+                             gangScheduleId(Schedule);
+          GangReplayer::Stats St;
+          std::vector<PerfCounters> R =
+              BuildAndRun(Source, P.Chunk, Threads, Schedule, &St);
+          ASSERT_EQ(R.size(), Expected.size()) << What;
+          for (size_t I = 0; I < R.size(); ++I)
+            expectEqualCounters(Expected[I], R[I],
+                                What + " member " + std::to_string(I));
+          if (First) {
+            Ref = St;
+            First = false;
+            EXPECT_GE(St.DeferredFinishes, 3u) << What;
+            // Catch-ups replay prefixes, never more than the trace.
+            if (P.EndsAtOverflow) {
+              EXPECT_LE(St.CatchUpEvents, St.DeferredFinishes * N) << What;
+            } else {
+              EXPECT_LT(St.CatchUpEvents, St.DeferredFinishes * N) << What;
+            }
+          }
+          EXPECT_EQ(St.DeferredFinishes, Ref.DeferredFinishes) << What;
+          EXPECT_EQ(St.CatchUpEvents, Ref.CatchUpEvents) << What;
+        }
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(GangReplay, SchedulerStatsAccountGangWork) {
@@ -720,9 +819,13 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
         << gangScheduleId(Schedule);
     EXPECT_GT(Busy, 0.0);
     EXPECT_EQ(St.DeferredFinishes, 0u);
-    if (Schedule == GangSchedule::Static)
+    EXPECT_EQ(St.CatchUpEvents, 0u);
+    if (Schedule == GangSchedule::Static) {
       EXPECT_EQ(Steals, 0u) << "static slices never steal";
+    }
     EXPECT_GE(St.FinishSeconds, 0.0);
+    EXPECT_GE(St.ReplayWallSeconds, St.FinishSeconds);
+    EXPECT_LE(Busy, St.ReplayWallSeconds * St.Workers.size());
   }
 
   // Serial runs have no pool to account.

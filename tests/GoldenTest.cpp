@@ -1,11 +1,15 @@
 //===- tests/GoldenTest.cpp - Cells against committed golden fingerprints -===//
 ///
 /// Pins the sweep pipeline against a fixed reference instead of only
-/// "path A equals path B": the BTB-geometry ablation and the Figure 8
-/// sweep run through SweepExecutor in several execution shapes, and
+/// "path A equals path B": the BTB-geometry ablation and the Figure 7
+/// and Figure 8 sweeps run through SweepExecutor in several execution
+/// shapes, and
 /// every cell's PerfCounters::fingerprint() must equal the value
 /// committed in perfbench/reference/<spec>.ref. A deletion or kernel
-/// rewrite that changes any counter of any cell fails here.
+/// rewrite that changes any counter of any cell fails here. Between
+/// them the three specs pin both overflow paths of the gang: BTB-only
+/// overflows (the BTB sweep) and I-cache overflows (Figure 7's
+/// replicated variants on the Celeron's 16 KB I-cache).
 ///
 /// Shapes: {materialize, static, 1 thread} and {stream, dynamic, 2
 /// threads}, each without a trace cache (replay off the in-memory
@@ -144,6 +148,10 @@ void expectGolden(const std::string &SpecName) {
 
 TEST(GoldenTest, BtbGeometrySweepMatchesReference) {
   expectGolden("ablation_btb_sweep");
+}
+
+TEST(GoldenTest, Figure7SweepMatchesReference) {
+  expectGolden("fig07_gforth_celeron");
 }
 
 TEST(GoldenTest, Figure8SweepMatchesReference) {

@@ -16,9 +16,11 @@ TEST(Variants, GforthMatrixMatchesPaper) {
   EXPECT_EQ(V.front().Name, "plain");
   EXPECT_EQ(V.back().Name, "with static super");
   // Static both: 35 supers + 365 replicas = 400 additional instructions.
-  for (const VariantSpec &S : V)
-    if (S.Config.Kind == DispatchStrategy::StaticBoth)
+  for (const VariantSpec &S : V) {
+    if (S.Config.Kind == DispatchStrategy::StaticBoth) {
       EXPECT_EQ(S.SuperCount + S.ReplicaCount, 400u);
+    }
+  }
 }
 
 TEST(Variants, JvmMatrixMatchesPaper) {

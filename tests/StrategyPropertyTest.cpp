@@ -80,8 +80,9 @@ TEST_P(LayoutInvariants, StructurallySound) {
     }
     // A piece's branch site lies beyond its entry (dispatch at the
     // end), except for shared routines (switch/original fallbacks).
-    if (P.Kind != DispatchKind::None && Kind != DispatchStrategy::Switch)
+    if (P.Kind != DispatchKind::None && Kind != DispatchStrategy::Switch) {
       EXPECT_GE(P.BranchSite, P.EntryAddr) << "piece " << I;
+    }
   }
 
   if (Kind == DispatchStrategy::Switch) {
@@ -264,7 +265,8 @@ TEST(Selection, SuperTableRespectsCount) {
         Lab.trainingProfile(), Set, N, 0,
         SuperWeighting::DynamicFrequency);
     EXPECT_LE(Res.Supers.size(), N);
-    if (N <= 100)
+    if (N <= 100) {
       EXPECT_EQ(Res.Supers.size(), N); // profile is rich enough
+    }
   }
 }

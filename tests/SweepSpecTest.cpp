@@ -434,9 +434,9 @@ TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
     // 2 shards x 3 threads: slices of a threaded spec stay exact.
     expectCellsEqual(Reference, runSharded(Executor, Threaded, 2));
 
-    // The cost-aware dynamic scheduler (work-stealing member replay +
-    // parallel deferred-fallback finish) must not move a single bit,
-    // in-process or sharded; the pool accounting must cover the work.
+    // The cost-aware dynamic scheduler (work-stealing member replay)
+    // must not move a single bit, in-process or sharded; the pool
+    // accounting must cover the work.
     SweepSpec Dynamic = Threaded;
     Dynamic.Schedule = GangSchedule::Dynamic;
     std::vector<PerfCounters> DynCells;

@@ -42,8 +42,8 @@
 /// auto-detects the host's core count at executor level. --schedule
 /// overrides the spec's `schedule` field: `static` keeps fixed
 /// contiguous member slices, `dynamic` turns on the cost-aware
-/// work-stealing scheduler and the parallel deferred-fallback finish —
-/// same counters, faster wall-clock on mixed-cost gangs. Fan-out is
+/// work-stealing scheduler — same counters, faster wall-clock on
+/// mixed-cost gangs. Fan-out is
 /// two-level — `--shards=S --threads=N` runs S worker processes × N
 /// intra-gang threads each, so a multi-core worker host uses its cores
 /// off one trace decode instead of S×N processes.
@@ -548,24 +548,28 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                     : 0.0);
 
     // The load-balance line: how evenly the dynamic pool kept its
-    // workers busy, how many members were stolen off slow workers, and
-    // what the static-vs-dynamic schedule is worth in wall clock.
+    // workers busy, how many members were stolen off slow workers, how
+    // much the overflow catch-ups replayed, and what the
+    // static-vs-dynamic schedule is worth in wall clock. Busy is a
+    // share of the gangs' own run() wall, not of the pipeline wall
+    // (which also spans capture and trace load).
     const GangReplayer::Stats &Load = DynamicStats.Load;
     uint64_t Steals = 0;
     std::string Busy, Waits;
     for (size_t W = 0; W < Load.Workers.size(); ++W) {
       Steals += Load.Workers[W].MembersStolen;
       Busy += format("%s%.2f", W == 0 ? "" : ",",
-                     DynamicStats.ReplaySeconds > 0
+                     Load.ReplayWallSeconds > 0
                          ? Load.Workers[W].BusySeconds /
-                               DynamicStats.ReplaySeconds
+                               Load.ReplayWallSeconds
                          : 0.0);
       Waits += format("%s%llu", W == 0 ? "" : ",",
                       (unsigned long long)Load.Workers[W].TilesWaited);
     }
     std::printf("[timing] bench=%s:loadbalance threads=%u wall_static_s=%.3f "
                 "wall_dynamic_s=%.3f dynamic_speedup=%.2f steals=%llu "
-                "deferred=%llu finish_s=%.3f busy=%s waits=%s\n",
+                "deferred=%llu catchup_events=%llu finish_s=%.3f busy=%s "
+                "waits=%s\n",
                 Spec.Name.c_str(), GangThreads, StaticStats.ReplaySeconds,
                 DynamicStats.ReplaySeconds,
                 DynamicStats.ReplaySeconds > 0
@@ -573,7 +577,8 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                     : 0.0,
                 (unsigned long long)Steals,
                 (unsigned long long)Load.DeferredFinishes,
-                Load.FinishSeconds, Busy.c_str(), Waits.c_str());
+                (unsigned long long)Load.CatchUpEvents, Load.FinishSeconds,
+                Busy.c_str(), Waits.c_str());
     std::printf("verify: %zu cells bit-identical across {serial, static, "
                 "dynamic} x threads {1, %u} in-process execution\n",
                 InProc.size(), GangThreads);
