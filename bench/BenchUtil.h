@@ -15,7 +15,6 @@
 #include "harness/JavaLab.h"
 #include "harness/SweepExecutor.h"
 #include "harness/SweepOrchestrator.h"
-#include "harness/SweepRunner.h"
 #include "harness/SweepSpec.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
@@ -26,9 +25,9 @@
 #include "vmcore/GangReplayer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -561,17 +560,10 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
   return true;
 }
 
-template <class LabT>
-SpeedupMatrix replayMatrix(LabT &Lab, const std::string &BenchId,
-                           const std::vector<std::string> &Benchmarks,
-                           const std::vector<VariantSpec> &Variants,
-                           const CpuConfig &Cpu, bool PerConfig = false);
-
-/// Shared main body of the fig07/08/09-style variant-matrix benches:
-/// the --per-config PR-1 fallback, otherwise the declarative sweep,
-/// rendered as a (benchmark × variant) SpeedupMatrix. \p LabT is
-/// ForthLab or JavaLab. \returns false when the bench should exit with
-/// \p Exit (--emit-spec, or an error).
+/// Shared main body of the variant-matrix benches (Figs. 7-13): the
+/// declarative sweep, rendered as a (benchmark × variant)
+/// SpeedupMatrix. \p LabT is ForthLab or JavaLab. \returns false when
+/// the bench should exit with \p Exit (--emit-spec, or an error).
 template <class LabT>
 bool runMatrixBench(const OptionParser &Opts, const std::string &Id,
                     const std::string &Suite, const std::string &CpuId,
@@ -579,18 +571,6 @@ bool runMatrixBench(const OptionParser &Opts, const std::string &Id,
                     std::vector<VariantSpec> Variants,
                     const std::string &Banner, LabT &Lab, SpeedupMatrix &M,
                     int &Exit) {
-  if (Opts.has("per-config")) {
-    CpuConfig Cpu;
-    if (!cpuConfigById(CpuId, Cpu)) {
-      std::fprintf(stderr, "error: unknown cpu model '%s'\n", CpuId.c_str());
-      Exit = 1;
-      return false;
-    }
-    std::printf("%s", Banner.c_str());
-    M = replayMatrix(Lab, Id, Benchmarks, Variants, Cpu,
-                     /*PerConfig=*/true);
-    return true;
-  }
   SweepSpec Spec = suiteSpec(Id, Suite, std::move(Benchmarks),
                              std::move(Variants), CpuId);
   std::vector<PerfCounters> Cells;
@@ -626,126 +606,57 @@ inline std::vector<std::string> javaBenchNames(bool Quick = false) {
   return Names;
 }
 
-/// Replays \p Variants over one benchmark's cached trace as a single
-/// chunk-tiled gang (the trace streams once for the whole batch) and
-/// prints the standard timing line. \p LabT is ForthLab or JavaLab
-/// (Java replays include the runtime overhead, like run()).
-template <class LabT>
-std::vector<PerfCounters>
-replayConfigs(LabT &Lab, const std::string &BenchId,
-              const std::string &Benchmark,
-              const std::vector<VariantSpec> &Variants,
-              const CpuConfig &Cpu) {
-  WallTimer CaptureTimer;
-  Lab.warmup(Benchmark, Cpu);
-  uint64_t Events = Lab.trace(Benchmark).numEvents();
-  double CaptureSeconds = CaptureTimer.seconds();
+/// The %superinstruction columns of the Figs. 14-16 mix grids.
+inline constexpr uint32_t MixPercents[] = {0, 25, 50, 75, 100};
 
-  WallTimer ReplayTimer;
-  std::vector<PerfCounters> Results = Lab.replayGang(Benchmark, Variants,
-                                                     Cpu);
-  emitTiming(BenchId, CaptureSeconds, ReplayTimer.seconds(),
-             Events * Variants.size(), Variants.size());
-  return Results;
-}
-
-/// Gang-replay (benchmark x variant) matrix on one CPU. Default mode
-/// is the trace-chunk-major pipeline: jobs are grouped by trace (one
-/// gang per benchmark covering every variant, so each workload's event
-/// stream crosses the memory bus once per tile for the whole row) and
-/// workload i+1 is captured on the pipeline's producer thread while
-/// workload i's gang replays. \p PerConfig re-runs the PR-1
-/// configuration-major path — serial capture phase, then one full
-/// trace pass per (benchmark x variant) cell — for equivalence checks
-/// and speedup measurement. Prints the standard timing line (capture_s
-/// is producer-thread busy time; in pipeline mode it overlaps
-/// replay_s).
-template <class LabT>
-SpeedupMatrix replayMatrix(LabT &Lab, const std::string &BenchId,
-                           const std::vector<std::string> &Benchmarks,
-                           const std::vector<VariantSpec> &Variants,
-                           const CpuConfig &Cpu, bool PerConfig) {
-  SpeedupMatrix M;
-  M.Benchmarks = Benchmarks;
-  for (const VariantSpec &V : Variants)
-    M.Variants.push_back(V.Name);
-
-  if (PerConfig) {
-    WallTimer CaptureTimer;
-    uint64_t EventsPerPass = 0;
-    for (const std::string &B : Benchmarks) {
-      Lab.warmup(B, Cpu);
-      EventsPerPass += Lab.trace(B).numEvents();
+/// The Figs. 14-16 static replication/superinstruction mix grid
+/// flattened into a sweep's variant list, row-major: one row per total
+/// budget of additional static instructions in \p Totals, one cell per
+/// MixPercents column (the superinstruction share of the budget). The
+/// zero-budget row has a single cell, plain threaded code.
+inline std::vector<VariantSpec>
+mixGridVariants(const std::vector<uint32_t> &Totals,
+                bool ReplicateSupers = false) {
+  std::vector<VariantSpec> Variants;
+  for (uint32_t Total : Totals)
+    for (uint32_t Pct : MixPercents) {
+      VariantSpec V;
+      V.Name = "mix";
+      V.Config.Kind = Total == 0 ? DispatchStrategy::Threaded
+                                 : DispatchStrategy::StaticBoth;
+      V.SuperCount = Total * Pct / 100;
+      V.ReplicaCount = Total - V.SuperCount;
+      V.ReplicateSupers = ReplicateSupers;
+      V.Config.SuperCount = V.SuperCount;
+      V.Config.ReplicaCount = V.ReplicaCount;
+      Variants.push_back(V);
+      if (Total == 0)
+        break;
     }
-    double CaptureSeconds = CaptureTimer.seconds();
-
-    struct Cell {
-      const std::string *Benchmark;
-      const VariantSpec *Variant;
-    };
-    std::vector<Cell> Cells;
-    for (const std::string &B : Benchmarks)
-      for (const VariantSpec &V : Variants)
-        Cells.push_back({&B, &V});
-
-    WallTimer ReplayTimer;
-    std::vector<PerfCounters> Results = runSweep<PerfCounters>(
-        Cells.size(), defaultSweepThreads(), [&](size_t I) {
-          return Lab.replay(*Cells[I].Benchmark, *Cells[I].Variant, Cpu);
-        });
-    for (size_t I = 0; I < Cells.size(); ++I)
-      M.Counters[*Cells[I].Benchmark][Cells[I].Variant->Name] = Results[I];
-
-    emitTiming(BenchId, CaptureSeconds, ReplayTimer.seconds(),
-               EventsPerPass * Variants.size(), Cells.size());
-    return M;
-  }
-
-  // Trace-affine gang pipeline: one gang per benchmark, captures
-  // overlapped with the previous benchmark's replay.
-  double CaptureBusy = 0; // producer thread only; no lock needed
-  std::atomic<uint64_t> EventsPerPass{0};
-  std::vector<std::vector<PerfCounters>> Rows(Benchmarks.size());
-  WallTimer PipelineTimer;
-  pipelineSweep(
-      Benchmarks.size(), defaultSweepThreads(),
-      [&](size_t B) {
-        WallTimer T;
-        Lab.warmup(Benchmarks[B], Cpu);
-        CaptureBusy += T.seconds();
-      },
-      [&](size_t B) {
-        EventsPerPass.fetch_add(Lab.trace(Benchmarks[B]).numEvents(),
-                                std::memory_order_relaxed);
-        Rows[B] = Lab.replayGang(Benchmarks[B], Variants, Cpu);
-      });
-  double PipelineSeconds = PipelineTimer.seconds();
-
-  for (size_t B = 0; B < Benchmarks.size(); ++B)
-    for (size_t V = 0; V < Variants.size(); ++V)
-      M.Counters[Benchmarks[B]][Variants[V].Name] = Rows[B][V];
-
-  emitTiming(BenchId, CaptureBusy, PipelineSeconds,
-             EventsPerPass.load() * Variants.size(),
-             Benchmarks.size() * Variants.size());
-  return M;
+  return Variants;
 }
 
-/// One cell of the Figs. 14-16 static replication/superinstruction mix
-/// sweeps: \p Total additional static instructions, \p Supers of them
-/// superinstructions (zero budget degrades to plain threaded).
-inline VariantSpec mixVariant(uint32_t Total, uint32_t Supers,
-                              bool ReplicateSupers = false) {
-  VariantSpec V;
-  V.Name = "mix";
-  V.Config.Kind = Total == 0 ? DispatchStrategy::Threaded
-                             : DispatchStrategy::StaticBoth;
-  V.SuperCount = Supers;
-  V.ReplicaCount = Total - Supers;
-  V.ReplicateSupers = ReplicateSupers;
-  V.Config.SuperCount = V.SuperCount;
-  V.Config.ReplicaCount = V.ReplicaCount;
-  return V;
+/// Renders the "total \ %super" table of a mix grid from its cells in
+/// mixGridVariants() order, one string per cell from \p Format.
+template <class FormatT>
+std::string renderMixGrid(const std::vector<uint32_t> &Totals,
+                          const std::vector<PerfCounters> &Cells,
+                          FormatT Format) {
+  std::vector<std::string> Header = {"total \\ %super"};
+  for (uint32_t Pct : MixPercents)
+    Header.push_back(std::to_string(Pct) + "%");
+  TextTable T(Header);
+  size_t Cell = 0;
+  for (uint32_t Total : Totals) {
+    std::vector<std::string> Row = {std::to_string(Total)};
+    size_t Width = Total == 0 ? 1 : std::size(MixPercents);
+    for (size_t K = 0; K < Width; ++K)
+      Row.push_back(Format(Cells[Cell++]));
+    while (Row.size() < Header.size())
+      Row.push_back("-");
+    T.addRow(Row);
+  }
+  return T.render();
 }
 
 /// A 3-opcode toy VM (A, B, GOTO) for the paper's worked examples.

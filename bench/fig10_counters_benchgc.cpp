@@ -3,7 +3,10 @@
 /// Regenerates Figure 10: performance-counter breakdown (cycles,
 /// instructions, indirect branches, mispredictions, I-cache misses,
 /// miss cycles, generated code bytes) for bench-gc on the Pentium 4.
-/// Captures the dispatch trace once and replays all nine variants.
+/// Declares the one-benchmark sweep over all nine variants and routes
+/// it through the shared declarative runner (one gang over the
+/// captured trace; --emit-spec / --spec / --shards come for free, as
+/// for Figs. 7-9).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,18 +16,19 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 10: performance counters, bench-gc (Gforth, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig10_counters_benchgc", "forth", "p4northwood",
+          {"bench-gc"}, gforthVariants(),
+          "=== Figure 10: performance counters, bench-gc (Gforth, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
-  SpeedupMatrix M =
-      bench::replayMatrix(Lab, "fig10_counters_benchgc", {"bench-gc"},
-                          gforthVariants(), Cpu);
-
-  std::printf("%s\n",
-              M.renderCounterBars("Figure 10", "bench-gc").c_str());
+  std::printf("%s\n", M.renderCounterBars("Figure 10", "bench-gc").c_str());
   std::printf(
       "Paper shape: plain/static repl/dynamic repl share one instruction\n"
       "count; replication eliminates most mispredictions (3.07x on this\n"

@@ -1,8 +1,9 @@
 //===- bench/fig11_counters_brew.cpp - Paper Figure 11 --------------------===//
 ///
 /// Regenerates Figure 11: performance-counter breakdown for brew on the
-/// Pentium 4. Captures the dispatch trace once and replays all nine
-/// variants.
+/// Pentium 4. Declares the one-benchmark sweep over all nine variants
+/// and routes it through the shared declarative runner (one gang over
+/// the captured trace).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,14 +13,17 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 11: performance counters, brew (Gforth, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  SpeedupMatrix M = bench::replayMatrix(Lab, "fig11_counters_brew",
-                                        {"brew"}, gforthVariants(), Cpu);
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig11_counters_brew", "forth", "p4northwood", {"brew"},
+          gforthVariants(),
+          "=== Figure 11: performance counters, brew (Gforth, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
   std::printf("%s\n", M.renderCounterBars("Figure 11", "brew").c_str());
   std::printf(

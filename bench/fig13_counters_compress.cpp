@@ -3,6 +3,7 @@
 /// Regenerates Figure 13: performance-counter breakdown for compress
 /// (Java) on the Pentium 4. In the paper, dynamic replication is almost
 /// 3x faster than plain here, entirely from eliminated mispredictions.
+/// Routed through the shared declarative runner, like Figure 12.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,17 +13,19 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 13: performance counters, compress (Java, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig13_counters_compress", "java", "p4northwood",
+          {"compress"}, jvmVariants(),
+          "=== Figure 13: performance counters, compress (Java, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
-  SpeedupMatrix M = bench::replayMatrix(Lab, "fig13_counters_compress",
-                                        {"compress"}, jvmVariants(), Cpu);
-
-  std::printf("%s\n",
-              M.renderCounterBars("Figure 13", "compress").c_str());
+  std::printf("%s\n", M.renderCounterBars("Figure 13", "compress").c_str());
   std::printf(
       "Paper shape: dynamic repl's speedup is attributable entirely to\n"
       "the reduction in indirect branch mispredictions (§7.3).\n");

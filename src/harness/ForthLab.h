@@ -9,7 +9,7 @@
 ///
 /// Two execution paths produce bit-identical counters:
 ///  - run(): interpret the workload with a DispatchSim attached
-///    (capture-per-config; the legacy baseline).
+///    (capture-per-config; the direct-simulation reference).
 ///  - replay(): interpret once into a cached DispatchTrace, then
 ///    re-drive any number of (variant x predictor x CPU) configurations
 ///    through the devirtualized TraceReplayer kernels.

@@ -32,8 +32,7 @@
 ///
 /// Every entry point takes a materialized DispatchTrace: these are the
 /// configuration-major replays GangReplayer is checked against (the
-/// labs' per-config paths, the benches' `--per-config` mode, the
-/// tests). The gang does not call back into them — an overflowing gang
+/// labs' per-config paths and the tests). The gang does not call back into them — an overflowing gang
 /// member catches up through its own prefix kernel
 /// (gang::replayPrefix) over a TraceSource cursor.
 ///

@@ -6,21 +6,21 @@
 /// DispatchSim run — for every variant (including the Fig. 6 side-entry
 /// fallback of "w/static super across" and the quickening-driven layout
 /// patching of the JVM), every predictor, and every CPU model. Also
-/// covers the sweep runner and the trace container itself.
+/// covers concurrent replays through one lab and the trace container
+/// itself.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/ForthLab.h"
 #include "harness/JavaLab.h"
-#include "harness/SweepRunner.h"
 #include "uarch/CaseBlockTable.h"
 #include "uarch/TwoLevelPredictor.h"
 #include "vmcore/TraceReplayer.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
+#include <thread>
 
 using namespace vmib;
 
@@ -77,34 +77,6 @@ TEST(DispatchTrace, ArenaClearKeepsCapacity) {
   EXPECT_EQ(T.numQuickens(), 0u);
   // clear() is an arena reset: capacity survives for the next capture.
   EXPECT_EQ(T.memoryBytes(), Bytes);
-}
-
-TEST(SweepRunner, CoversAllIndicesExactlyOnce) {
-  constexpr size_t N = 257;
-  std::vector<std::atomic<uint32_t>> Hits(N);
-  parallelFor(N, 7, [&](size_t I) { Hits[I].fetch_add(1); });
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
-}
-
-TEST(SweepRunner, DegradesToSerialAndHandlesEdges) {
-  parallelFor(0, 4, [](size_t) { FAIL() << "no jobs expected"; });
-  uint32_t Count = 0;
-  parallelFor(3, 1, [&](size_t) { ++Count; }); // serial path
-  EXPECT_EQ(Count, 3u);
-  std::atomic<uint32_t> Par{0};
-  parallelFor(2, 16, [&](size_t) { Par.fetch_add(1); }); // threads > jobs
-  EXPECT_EQ(Par.load(), 2u);
-}
-
-TEST(SweepRunner, PropagatesFirstException) {
-  EXPECT_THROW(
-      parallelFor(8, 4,
-                  [](size_t I) {
-                    if (I == 3)
-                      throw std::runtime_error("job failed");
-                  }),
-      std::runtime_error);
 }
 
 TEST(ReplayEquivalence, ForthAllVariantsBitIdentical) {
@@ -335,9 +307,19 @@ TEST(ReplayEquivalence, ParallelSweepMatchesSerialReplays) {
   for (const VariantSpec &V : Variants)
     Serial.push_back(Lab.replay("cross", V, P4));
 
-  std::vector<PerfCounters> Parallel = runSweep<PerfCounters>(
-      Variants.size(), 4,
-      [&](size_t I) { return Lab.replay("cross", Variants[I], P4); });
+  // Concurrent replays share only the lab's mutex-guarded caches
+  // (pipelineSweep relies on this): four threads, strided over the
+  // variants.
+  constexpr size_t Threads = 4;
+  std::vector<PerfCounters> Parallel(Variants.size());
+  std::vector<std::thread> Pool;
+  for (size_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (size_t I = T; I < Variants.size(); I += Threads)
+        Parallel[I] = Lab.replay("cross", Variants[I], P4);
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
 
   ASSERT_EQ(Serial.size(), Parallel.size());
   for (size_t I = 0; I < Serial.size(); ++I)

@@ -6,6 +6,8 @@
 ///    shard results are bit-identical to a single in-process gang sweep
 ///    (both suites),
 ///  - [result] lines round-trip PerfCounters exactly,
+///  - the ablation benches' specs equal the per-config lab oracle
+///    (TraceReplayer) cell for cell,
 ///  - corrupt trace-cache files fail to load with a diagnostic and no
 ///    partial state, and the cache directory is auto-created,
 ///  - concurrent cache writers (threads and processes) never expose a
@@ -16,6 +18,7 @@
 #include "harness/SweepExecutor.h"
 #include "harness/SweepSpec.h"
 #include "harness/WorkloadCache.h"
+#include "uarch/CaseBlockTable.h"
 #include "vmcore/DispatchTrace.h"
 #include "workloads/ForthSuite.h"
 #include "workloads/JavaSuite.h"
@@ -96,6 +99,11 @@ SweepSpec javaRunSpec() {
   S.Variants = {makeVariant(DispatchStrategy::Threaded),
                 makeVariant(DispatchStrategy::DynamicSuper)};
   return S;
+}
+
+void expectSameCounters(const PerfCounters &A, const PerfCounters &B,
+                        const std::string &What) {
+  EXPECT_EQ(0, std::memcmp(&A, &B, sizeof(PerfCounters))) << What;
 }
 
 void expectCellsEqual(const std::vector<PerfCounters> &A,
@@ -458,6 +466,119 @@ TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
   }
 }
 
+//===--- bench specs vs the per-config lab oracle -------------------------===//
+
+namespace {
+
+/// bench/ablation_predictors.cpp's spec under --quick: {plain, switch}
+/// × {default BTB, two-bit BTB, two-level, case-block}.
+SweepSpec predictorAblationSpec() {
+  SweepSpec S;
+  S.Name = "ablation_predictors";
+  S.Suite = "forth";
+  S.Benchmarks = {forthSuite()[0].Name, forthSuite()[1].Name};
+  S.Cpus = {"p4northwood"};
+  S.Variants = {makeVariant(DispatchStrategy::Threaded),
+                makeVariant(DispatchStrategy::Switch)};
+  PredictorGeometry TwoBit;
+  TwoBit.PredKind = PredictorGeometry::Kind::Btb;
+  TwoBit.Btb = makePentium4Northwood().Btb;
+  TwoBit.Btb.TwoBitCounters = true;
+  PredictorGeometry TwoLevel;
+  TwoLevel.PredKind = PredictorGeometry::Kind::TwoLevel;
+  PredictorGeometry CaseBlock;
+  CaseBlock.PredKind = PredictorGeometry::Kind::CaseBlock;
+  CaseBlock.CaseBlockEntries = 4096;
+  S.Predictors = {PredictorGeometry(), TwoBit, TwoLevel, CaseBlock};
+  return S;
+}
+
+/// Checks every cell of a single-CPU forth spec against the labs'
+/// per-config TraceReplayer calls: full replays (replayBtb /
+/// replayWith) for every member, plus the predictor-only tier on the
+/// member's fetch baseline (default BTB cells and two-level/case-block
+/// members on replayBtb's default-BTB run; BTB-geometry members on the
+/// variant's replay()).
+void expectCellsMatchOracle(ForthLab &Lab, const SweepSpec &Spec,
+                            const std::vector<PerfCounters> &Cells) {
+  ASSERT_EQ(Spec.Cpus.size(), 1u);
+  ASSERT_EQ(Cells.size(), Spec.numCells());
+  CpuConfig Cpu;
+  ASSERT_TRUE(cpuConfigById(Spec.Cpus[0], Cpu));
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    const std::string &Bench = Spec.Benchmarks[B];
+    for (size_t V = 0; V < Spec.Variants.size(); ++V) {
+      const VariantSpec &Var = Spec.Variants[V];
+      PerfCounters Baseline = Lab.replayBtb(Bench, Var, Cpu, Cpu.Btb);
+      PerfCounters Replayed = Lab.replay(Bench, Var, Cpu);
+      for (size_t P = 0; P < Spec.Predictors.size(); ++P) {
+        const PredictorGeometry &G = Spec.Predictors[P];
+        const PerfCounters &Cell =
+            Cells[Spec.cellIndex(B, Spec.memberIndex(0, V, P))];
+        std::string What = Bench + "/" + Var.Name + "/predictor " +
+                           std::to_string(P);
+        switch (G.PredKind) {
+        case PredictorGeometry::Kind::Default:
+          expectSameCounters(Cell, Baseline, What + " vs replayBtb");
+          break;
+        case PredictorGeometry::Kind::Btb:
+          expectSameCounters(Cell, Lab.replayBtb(Bench, Var, Cpu, G.Btb),
+                             What + " vs replayBtb");
+          expectSameCounters(
+              Cell,
+              Lab.replayBtbPredictorOnly(Bench, Var, Cpu, G.Btb, Replayed),
+              What + " vs replayBtbPredictorOnly");
+          break;
+        case PredictorGeometry::Kind::TwoLevel: {
+          TwoLevelPredictor Full(G.TwoLevel), Only(G.TwoLevel);
+          expectSameCounters(Cell, Lab.replayWith(Bench, Var, Cpu, Full),
+                             What + " vs replayWith");
+          expectSameCounters(
+              Cell, Lab.replayPredictorOnly(Bench, Var, Cpu, Only, Baseline),
+              What + " vs replayPredictorOnly");
+          break;
+        }
+        case PredictorGeometry::Kind::CaseBlock: {
+          CaseBlockTable Full(G.CaseBlockEntries), Only(G.CaseBlockEntries);
+          expectSameCounters(Cell, Lab.replayWith(Bench, Var, Cpu, Full),
+                             What + " vs replayWith");
+          expectSameCounters(
+              Cell, Lab.replayPredictorOnly(Bench, Var, Cpu, Only, Baseline),
+              What + " vs replayPredictorOnly");
+          break;
+        }
+        }
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(SweepSpec, BenchSpecsMatchPerConfigOracle) {
+  // The gang-vs-per-config claim for the two ablation benches: every
+  // member kind the executor gangs — default and two-bit BTBs, BTB
+  // geometries whose sets overflow and catch up, two-level and
+  // case-block predictors — equals the independent per-config lab
+  // oracle, cell for cell.
+  ForthLab Lab;
+  SweepExecutor Executor(&Lab);
+
+  SweepSpec Predictors = predictorAblationSpec();
+  std::vector<PerfCounters> Cells;
+  Executor.runAll(Predictors, 1, Cells);
+  expectCellsMatchOracle(Lab, Predictors, Cells);
+
+  SweepSpec BtbSweep;
+  std::string Error;
+  ASSERT_TRUE(loadSweepSpecFile(std::string(VMIB_SOURCE_DIR) +
+                                    "/perfbench/specs/ablation_btb_sweep.spec",
+                                BtbSweep, Error))
+      << Error;
+  Executor.runAll(BtbSweep, 1, Cells);
+  expectCellsMatchOracle(Lab, BtbSweep, Cells);
+}
+
 //===--- trace-cache hardening --------------------------------------------===//
 
 namespace {
@@ -664,15 +785,6 @@ TEST_F(TraceFileTest, ConcurrentWritersNeverExposePartialFiles) {
 }
 
 //===--- workload meta / trained-profile sidecars -------------------------===//
-
-namespace {
-
-void expectSameCounters(const PerfCounters &A, const PerfCounters &B,
-                        const char *What) {
-  EXPECT_EQ(0, std::memcmp(&A, &B, sizeof(PerfCounters))) << What;
-}
-
-} // namespace
 
 TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   char Base[64];
