@@ -155,6 +155,21 @@ inline bool applyStoreOptions(const OptionParser &Opts, ResultStore &Store) {
   return true;
 }
 
+/// Reads the count flag `--Name` (OptionParser::getCount: strict
+/// decimal) into \p Out, or \p Default when absent. \returns false
+/// with a diagnostic on stderr for a malformed value or one above
+/// \p Max.
+inline bool countOption(const OptionParser &Opts, const char *Name,
+                        uint64_t Default, uint64_t Max, uint64_t &Out) {
+  if (Opts.getCount(Name, Default, Out) && Out <= Max)
+    return true;
+  std::string Bound =
+      Max == UINT64_MAX ? "" : format(" <= %llu", (unsigned long long)Max);
+  std::fprintf(stderr, "error: bad --%s '%s' (expected a decimal count%s)\n",
+               Name, Opts.get(Name).c_str(), Bound.c_str());
+  return false;
+}
+
 /// Parses the redundant-execution audit knobs — `--audit=RATE` (the
 /// deterministic cell-sampling rate, 0..1) and `--audit-seed=N`
 /// (override the fixed default sample) — into \p Plan. \returns false
@@ -169,16 +184,9 @@ inline bool applyAuditOptions(const OptionParser &Opts, AuditPlan &Plan,
       return false;
     }
   }
-  if (Opts.has("audit-seed")) {
-    std::string V = Opts.get("audit-seed");
-    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr,
-                   "error: bad --audit-seed '%s' (expected a number >= 0)\n",
-                   V.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    Plan.Seed = std::strtoull(V.c_str(), nullptr, 10);
+  if (!countOption(Opts, "audit-seed", Plan.Seed, UINT64_MAX, Plan.Seed)) {
+    ExitCode = 1;
+    return false;
   }
   return true;
 }
@@ -295,39 +303,19 @@ inline bool applyReplayPathOptions(const OptionParser &Opts, int &ExitCode) {
 //===--- declarative sweeps -----------------------------------------------===//
 
 /// Applies the spec-override flags every spec-driven entry point
-/// shares — `--threads=N` (0 = auto-detect; negative rejected),
-/// `--schedule=static|dynamic` and `--decode=materialize|stream|auto`
-/// — then re-validates the spec.
+/// shares — `--threads=N` (0 = auto-detect) and
+/// `--decode=materialize|stream|auto` — then re-validates the spec.
 /// \returns false with \p ExitCode set (and a diagnostic on stderr)
 /// when the caller should exit.
 inline bool applySpecOverrides(const OptionParser &Opts, SweepSpec &Spec,
                                int &ExitCode) {
-  if (Opts.has("threads")) {
-    // Digits only, like the spec parser's threads field: getInt would
-    // quietly turn "--threads=foo" into 0 = auto-detect, and a typo'd
-    // thread count must diagnose, not silently fan out.
-    std::string T = Opts.get("threads");
-    if (T.empty() || T.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr,
-                   "error: bad --threads '%s' (expected a number >= 0; "
-                   "0 = auto-detect)\n",
-                   T.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    Spec.Threads = static_cast<unsigned>(
-        std::min<unsigned long long>(std::strtoull(T.c_str(), nullptr, 10),
-                                     0xFFFFFFFFull));
-  }
-  if (Opts.has("schedule") &&
-      !gangScheduleFromId(Opts.get("schedule"), Spec.Schedule)) {
-    std::fprintf(stderr,
-                 "error: unknown --schedule '%s' (expected static or "
-                 "dynamic)\n",
-                 Opts.get("schedule").c_str());
+  // Capped like the spec parser's threads field.
+  uint64_t Threads;
+  if (!countOption(Opts, "threads", Spec.Threads, 1024, Threads)) {
     ExitCode = 1;
     return false;
   }
+  Spec.Threads = static_cast<unsigned>(Threads);
   if (Opts.has("decode") &&
       !traceDecodeModeFromId(Opts.get("decode"), Spec.Decode)) {
     std::fprintf(stderr,
@@ -355,19 +343,10 @@ inline bool applyWorkerFaultOptions(const OptionParser &Opts,
                                     SweepWorkerOptions &W, int &ExitCode,
                                     bool AllowPartialOk = false) {
   auto ParseU = [&](const char *Name, unsigned &Out) {
-    if (!Opts.has(Name))
-      return true;
-    // Digits only: getInt would quietly turn a typo into a default,
-    // and a misspelled retry budget must diagnose, not fail fast.
-    std::string V = Opts.get(Name);
-    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr, "error: bad --%s '%s' (expected a number >= 0)\n",
-                   Name, V.c_str());
+    uint64_t V;
+    if (!countOption(Opts, Name, Out, UINT32_MAX, V))
       return false;
-    }
-    Out = static_cast<unsigned>(
-        std::min<unsigned long long>(std::strtoull(V.c_str(), nullptr, 10),
-                                     0xFFFFFFFFull));
+    Out = static_cast<unsigned>(V);
     return true;
   };
   if (!ParseU("retries", W.Retries) || !ParseU("backoff-ms", W.BackoffMs) ||
@@ -436,10 +415,6 @@ inline SpeedupMatrix matrixFromCells(const SweepSpec &Spec,
 ///                     0 = auto-detect, resolved to the host's
 ///                     hardware_concurrency at executor level;
 ///                     composes with --shards into shards × threads)
-///   --schedule=S      gang member scheduling, `static` (contiguous
-///                     slices, the default) or `dynamic` (cost-aware
-///                     work-stealing replay); spec `schedule`
-///                     override, bit-identical either way
 ///   --decode=M        replay input acquisition, `materialize` (whole
 ///                     trace in memory), `stream` (O(tile) decode from
 ///                     the trace cache file) or `auto` (stream past
@@ -503,10 +478,10 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
     }
     Spec = std::move(Loaded);
   }
-  // --threads / --schedule override the spec's intra-gang knobs
-  // (validated like any other spec field; threads 0 = auto-detect), so
-  // any spec-driven bench can run its gangs on the shared-tile worker
-  // pool — static or dynamic — without editing the spec.
+  // --threads overrides the spec's intra-gang thread count (validated
+  // like any other spec field; 0 = auto-detect), so any spec-driven
+  // bench can run its gangs on the shared-tile worker pool without
+  // editing the spec.
   if (!applySpecOverrides(Opts, Spec, ExitCode))
     return false;
   if (Opts.has("emit-spec")) {
@@ -520,7 +495,11 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
   AuditPlan Audit;
   if (!applyAuditOptions(Opts, Audit, ExitCode))
     return false;
-  long Shards = Opts.getInt("shards", 0);
+  uint64_t Shards;
+  if (!countOption(Opts, "shards", 0, UINT32_MAX, Shards)) {
+    ExitCode = 1;
+    return false;
+  }
   SweepRunStats Stats;
   if (Shards > 1 || Opts.has("worker-cmd")) {
     SweepWorkerOptions W;

@@ -16,9 +16,9 @@
 /// predictor-only, and a five-member gang (per member-event) — so a
 /// kernel regression shows up here, not just in the [timing] lines of
 /// the sweep benches. BM_GangReplayMixedThreaded additionally tracks
-/// the threaded pool on a mixed-cost gang under both schedulers and
-/// surfaces GangReplayer::Stats — per-worker events replayed, tiles
-/// waited, steals, busy time — as a `[timing]` histogram line, so
+/// the threaded pool on a mixed-cost gang and surfaces
+/// GangReplayer::Stats — per-worker events replayed, tiles waited,
+/// busy time — as a `[timing]` histogram line, so
 /// worker-slice imbalance is a number in the artifact, not a guess;
 /// its items/s come from the wall clock, since the work runs on the
 /// pool's threads, not the timed main thread. BM_TraceDecode tracks
@@ -140,13 +140,11 @@ void BM_GangReplay5(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Trace.numEvents() * GangSize);
 }
 
-/// One [timing] line per (schedule, threads) cell: the per-worker
-/// histogram of the last completed gang pass. Printed once per cell
-/// (google-benchmark re-enters the function while calibrating).
-void emitGangLoadLine(const char *ScheduleId, unsigned Threads,
-                      const GangReplayer::Stats &St) {
+/// One [timing] line for the threaded cell: the per-worker histogram
+/// of the last completed gang pass. Printed once (google-benchmark
+/// re-enters the function while calibrating).
+void emitGangLoadLine(unsigned Threads, const GangReplayer::Stats &St) {
   std::string Events, Waits, Busy;
-  uint64_t Steals = 0;
   for (size_t W = 0; W < St.Workers.size(); ++W) {
     const char *Sep = W == 0 ? "" : ",";
     Events += Sep + std::to_string(St.Workers[W].EventsReplayed);
@@ -155,13 +153,11 @@ void emitGangLoadLine(const char *ScheduleId, unsigned Threads,
     std::snprintf(Buf, sizeof(Buf), "%s%.4f", Sep,
                   St.Workers[W].BusySeconds);
     Busy += Buf;
-    Steals += St.Workers[W].MembersStolen;
   }
-  std::printf("[timing] bench=real_dispatch:gangload schedule=%s threads=%u "
-              "steals=%llu deferred=%llu catchup_events=%llu finish_s=%.4f "
+  std::printf("[timing] bench=real_dispatch:gangload threads=%u "
+              "deferred=%llu catchup_events=%llu finish_s=%.4f "
               "worker_events=%s worker_waits=%s worker_busy_s=%s\n",
-              ScheduleId, Threads, (unsigned long long)Steals,
-              (unsigned long long)St.DeferredFinishes,
+              Threads, (unsigned long long)St.DeferredFinishes,
               (unsigned long long)St.CatchUpEvents, St.FinishSeconds,
               Events.c_str(), Waits.c_str(), Busy.c_str());
 }
@@ -170,10 +166,8 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
   // A deliberately mixed-cost gang — full members on two layouts (the
   // switch one a fused singleton), a tiny-BTB member that overflows
   // and catches up onto the exact BTB, and four cheap-to-moderate
-  // predictor-only members — on a 4-worker pool. Arg(0) = static
-  // slices, Arg(1) = the cost-aware dynamic scheduler; the gap between
-  // the two cells is the load-balance win on this shape.
-  bool Dynamic = State.range(0) != 0;
+  // predictor-only members — on a 4-worker pool of fixed member
+  // slices; the busy/wait histogram shows how evenly they split.
   constexpr unsigned Threads = 4;
   ForthLab &Lab = lab();
   CpuConfig Cpu = makePentium4Northwood();
@@ -201,21 +195,14 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
     Gang.addPredictorOnly(LThreaded, Cpu, NullPredictor(), Base);
     Gang.addPredictorOnly(LThreaded, Cpu,
                           TwoLevelPredictor((TwoLevelConfig())), Base);
-    std::vector<PerfCounters> R =
-        Gang.run(Threads,
-                 Dynamic ? GangSchedule::Dynamic : GangSchedule::Static,
-                 &St);
+    std::vector<PerfCounters> R = Gang.run(Threads, &St);
     benchmark::DoNotOptimize(R.data());
   }
   State.SetItemsProcessed(State.iterations() * Trace.numEvents() * GangSize);
-  uint64_t Steals = 0;
-  for (const GangReplayer::Stats::Worker &W : St.Workers)
-    Steals += W.MembersStolen;
-  State.counters["steals"] = static_cast<double>(Steals);
-  static bool Printed[2] = {false, false};
-  if (!Printed[Dynamic]) {
-    Printed[Dynamic] = true;
-    emitGangLoadLine(Dynamic ? "dynamic" : "static", Threads, St);
+  static bool Printed = false;
+  if (!Printed) {
+    Printed = true;
+    emitGangLoadLine(Threads, St);
   }
 }
 
@@ -259,8 +246,6 @@ BENCHMARK(BM_ReplayFull)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayPredictorOnly)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplay5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplayMixedThreaded)
-    ->Arg(0)
-    ->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);

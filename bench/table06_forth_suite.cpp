@@ -35,7 +35,10 @@ int main(int argc, char **argv) {
                                Exit))
     return Exit;
 
-  bool Sharded = Opts.getInt("shards", 0) > 1 || Opts.has("worker-cmd");
+  // runDeclaredSweep already rejected a malformed --shards.
+  uint64_t Shards = 0;
+  bool Sharded = (Opts.getCount("shards", 0, Shards) && Shards > 1) ||
+                 Opts.has("worker-cmd");
   TextTable T({"program", "lines", "VM instrs", "description", "steps",
                "output hash"});
   for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {

@@ -46,9 +46,9 @@ bool vmib::decideAudit(const AuditPlan &Plan, const SweepSpec &Spec,
   // Content identity only: the member's configuration key (strategy,
   // predictor geometry, CPU — deliberately shape-free, same feed as
   // the store key) and the workload's suite-qualified name. Shard
-  // layout, thread count, schedule, decode mode and the spec's display
-  // name do not participate, so the sample is stable across every way
-  // of executing the same sweep.
+  // layout, thread count, decode mode and the spec's display name do
+  // not participate, so the sample is stable across every way of
+  // executing the same sweep.
   uint64_t CfgKey = memberCostKey(Spec, Member);
   uint64_t Bench =
       fnv1aString(Spec.Suite + "-" + Spec.Benchmarks[Workload]);
@@ -77,12 +77,10 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
   // Stream (Auto materializes any trace that fits the budget, so
   // Stream is the opposite path in practice; a budget-exceeding trace
   // degenerates to a same-decode audit on that one axis while the
-  // other two still flip).
+  // thread count still flips).
   S.Decode = Spec.Decode == TraceDecodeMode::Stream
                  ? TraceDecodeMode::Materialize
                  : TraceDecodeMode::Stream;
-  S.Schedule = Spec.Schedule == GangSchedule::Static ? GangSchedule::Dynamic
-                                                     : GangSchedule::Static;
   S.Threads = resolveGangThreads(Spec.Threads) <= 1 ? 2 : 1;
   return S;
 }
@@ -92,8 +90,6 @@ AuditShape vmib::canonicalAuditShape() { return AuditShape(); }
 std::string vmib::auditShapeId(const AuditShape &S) {
   std::string Out = "decode:";
   Out += traceDecodeModeId(S.Decode);
-  Out += ",schedule:";
-  Out += gangScheduleId(S.Schedule);
   Out += ",threads:" + std::to_string(S.Threads);
   return Out;
 }
@@ -104,7 +100,6 @@ Auditor::replayShaped(const SweepSpec &Spec, size_t Workload,
                       const AuditShape &Shape) {
   SweepSpec Shaped = Spec;
   Shaped.Decode = Shape.Decode;
-  Shaped.Schedule = Shape.Schedule;
   Shaped.Threads = Shape.Threads;
   // Direct replay: no store (the shape-free key would re-serve the
   // very value under audit), no fault injection (the flip draws are

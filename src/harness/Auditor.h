@@ -4,7 +4,7 @@
 /// The always-on silent-corruption audit layer. Every guarantee the
 /// sweep pipeline makes reduces to one contract: a cell's counters are
 /// a pure function of (trace content, member config), bit-identical
-/// across decode mode, schedule, thread count and shard count.
+/// across decode mode, thread count and shard count.
 /// `--verify` checks that contract when a human asks; the Auditor
 /// checks it *continuously*, on a deterministically sampled subset of
 /// real production cells:
@@ -15,15 +15,14 @@
 ///     same cells and sharding cannot dodge the sample.
 ///  2. **Re-execute decorrelated** — the sampled cell replays through
 ///     an execution shape that flips every axis relative to the
-///     primary: decode mode (stream<->materialize), schedule
-///     (static<->dynamic) and thread count.
+///     primary: decode mode (stream<->materialize) and thread count.
 ///     A bug or bit flip tied to any one shape cannot corrupt both
 ///     executions identically. Audit executions bypass the result
 ///     store and run fault-injection-free: the store key ignores shape
 ///     (caching across shapes is its point), so a store-served cell
 ///     would otherwise just re-serve itself.
 ///  3. **Tiebreak + triage** — on mismatch, a third execution through
-///     the canonical clean shape (materialize, static, one thread)
+///     the canonical clean shape (materialize, one thread)
 ///     classifies the fault:
 ///       tiebreak == audit  != primary : the primary was wrong. If the
 ///           store would serve that wrong value -> store-served
@@ -103,7 +102,6 @@ const char *auditVerdictId(AuditVerdict V);
 /// contract quantifies over.
 struct AuditShape {
   TraceDecodeMode Decode = TraceDecodeMode::Materialize;
-  GangSchedule Schedule = GangSchedule::Static;
   unsigned Threads = 1;
 };
 
@@ -112,11 +110,11 @@ struct AuditShape {
 AuditShape decorrelatedAuditShape(const SweepSpec &Spec);
 
 /// The tiebreak shape: the canonical clean configuration
-/// (materialize, static, one thread) — the most-tested
+/// (materialize, one thread) — the most-tested
 /// baseline path, and the authority when primary and audit disagree.
 AuditShape canonicalAuditShape();
 
-/// "decode:stream,schedule:dynamic,threads:2" for logs.
+/// "decode:stream,threads:2" for logs.
 std::string auditShapeId(const AuditShape &S);
 
 /// Counters the audit layer reports (summed across slices / workers /

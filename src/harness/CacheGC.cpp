@@ -37,8 +37,9 @@ bool hasSuffix(const std::string &S, const char *Suffix) {
   return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
 }
 
-/// A managed artifact is one of the self-checking cache/store formats;
-/// lock files and unknown names are never touched.
+/// A managed artifact is one of the self-checking cache/store formats
+/// (`.vmibcost`: a retired format, still evicted from old caches); lock
+/// files and unknown names are never touched.
 bool isManagedArtifact(const std::string &Name) {
   return hasSuffix(Name, ".vmibtrace") || hasSuffix(Name, ".vmibmeta") ||
          hasSuffix(Name, ".vmibprofile") || hasSuffix(Name, ".vmibcost") ||

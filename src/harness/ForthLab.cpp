@@ -428,18 +428,6 @@ PerfCounters ForthLab::replay(const std::string &Benchmark,
                                       /*MutableProgram=*/nullptr, Cpu);
 }
 
-std::vector<PerfCounters>
-ForthLab::replayGang(const std::string &Benchmark,
-                     const std::vector<VariantSpec> &Variants,
-                     const CpuConfig &Cpu, unsigned Threads,
-                     GangSchedule Schedule, GangReplayer::Stats *StatsOut,
-                     TraceDecodeMode Decode) {
-  GangReplayer Gang(traceSource(Benchmark, Decode));
-  for (const VariantSpec &V : Variants)
-    Gang.addDefault(buildLayout(Benchmark, V), Cpu);
-  return Gang.run(Threads, Schedule, StatsOut);
-}
-
 PerfCounters
 ForthLab::replayWithPredictor(const std::string &Benchmark,
                               const VariantSpec &Variant,

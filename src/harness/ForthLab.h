@@ -140,23 +140,6 @@ public:
   PerfCounters replay(const std::string &Benchmark,
                       const VariantSpec &Variant, const CpuConfig &Cpu);
 
-  /// Batch replay: one chunk-tiled GangReplayer pass over the cached
-  /// trace covering every variant (default BTB), so the trace streams
-  /// from memory once for the whole batch instead of once per variant.
-  /// Results are in variant order, bit-identical to replay() per cell.
-  /// Thread-safe; intended as the per-workload job of a trace-affine
-  /// sweep (one gang per SweepRunner worker). \p Threads > 1 replays
-  /// the gang on the shared-tile worker pool under \p Schedule
-  /// (bit-identical for any thread count and either scheduler);
-  /// \p StatsOut receives the pool accounting when non-null.
-  std::vector<PerfCounters>
-  replayGang(const std::string &Benchmark,
-             const std::vector<VariantSpec> &Variants, const CpuConfig &Cpu,
-             unsigned Threads = 1,
-             GangSchedule Schedule = GangSchedule::Static,
-             GangReplayer::Stats *StatsOut = nullptr,
-             TraceDecodeMode Decode = TraceDecodeMode::Auto);
-
   /// Replay with a concrete predictor type: predict()/update() inline
   /// into the replay loop (devirtualized predictor sweeps).
   /// Thread-safe; \p Predictor must be fresh (stateful across events).

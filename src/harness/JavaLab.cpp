@@ -439,13 +439,9 @@ std::vector<PerfCounters>
 JavaLab::replayGang(const std::string &Benchmark,
                     const std::vector<VariantSpec> &Variants,
                     const CpuConfig &Cpu, unsigned Threads,
-                    GangSchedule Schedule, GangReplayer::Stats *StatsOut,
-                    const std::vector<uint64_t> *SeedCostNs,
-                    std::vector<uint64_t> *FinalCostNs,
-                    TraceDecodeMode Decode) {
-  std::vector<PerfCounters> Results =
-      replayGangNoOverhead(Benchmark, Variants, Cpu, Threads, Schedule,
-                           StatsOut, SeedCostNs, FinalCostNs, Decode);
+                    GangReplayer::Stats *StatsOut, TraceDecodeMode Decode) {
+  std::vector<PerfCounters> Results = replayGangNoOverhead(
+      Benchmark, Variants, Cpu, Threads, StatsOut, Decode);
   uint64_t Overhead = runtimeOverhead(Benchmark, Cpu);
   for (PerfCounters &C : Results)
     C.Cycles += Overhead;
@@ -456,10 +452,7 @@ std::vector<PerfCounters>
 JavaLab::replayGangNoOverhead(const std::string &Benchmark,
                               const std::vector<VariantSpec> &Variants,
                               const CpuConfig &Cpu, unsigned Threads,
-                              GangSchedule Schedule,
                               GangReplayer::Stats *StatsOut,
-                              const std::vector<uint64_t> *SeedCostNs,
-                              std::vector<uint64_t> *FinalCostNs,
                               TraceDecodeMode Decode) {
   GangReplayer Gang(traceSource(Benchmark, Decode));
   for (const VariantSpec &V : Variants) {
@@ -467,14 +460,7 @@ JavaLab::replayGangNoOverhead(const std::string &Benchmark,
     // over exactly that copy so the recorded quickenings patch it.
     auto Copy = std::make_shared<VMProgram>(program(Benchmark).Program);
     auto Layout = buildLayout(Benchmark, V, *Copy);
-    size_t Member = Gang.addQuickening(std::move(Layout), std::move(Copy),
-                                       Cpu);
-    if (SeedCostNs && Member < SeedCostNs->size() &&
-        (*SeedCostNs)[Member] != 0)
-      Gang.seedMemberCost(Member, (*SeedCostNs)[Member]);
+    Gang.addQuickening(std::move(Layout), std::move(Copy), Cpu);
   }
-  std::vector<PerfCounters> Results = Gang.run(Threads, Schedule, StatsOut);
-  if (FinalCostNs)
-    *FinalCostNs = Gang.finalCosts();
-  return Results;
+  return Gang.run(Threads, StatsOut);
 }

@@ -154,23 +154,13 @@ public:
   /// quickenings are re-applied at their exact event positions.
   /// Results are in variant order, bit-identical to replay() per cell
   /// (runtime overhead included). Thread-safe. \p Threads > 1 replays
-  /// the gang on the shared-tile worker pool under \p Schedule (each
-  /// quickening member has one owner per tile, so results stay
-  /// bit-identical for any thread count and either scheduler);
-  /// \p StatsOut receives the pool accounting when non-null.
-  /// \p SeedCostNs, when non-null, seeds the dynamic scheduler's
-  /// per-member cost EWMAs (variant order, 0 = unknown — see
-  /// GangReplayer::seedMemberCost); \p FinalCostNs, when non-null,
-  /// receives the end-of-run EWMAs a dynamic pooled pass measured
-  /// (empty otherwise). Both steer scheduling only, never counters.
+  /// the gang on the shared-tile worker pool (each quickening member
+  /// has one owner, so results stay bit-identical for any thread
+  /// count); \p StatsOut receives the pool accounting when non-null.
   std::vector<PerfCounters>
   replayGang(const std::string &Benchmark,
              const std::vector<VariantSpec> &Variants, const CpuConfig &Cpu,
-             unsigned Threads = 1,
-             GangSchedule Schedule = GangSchedule::Static,
-             GangReplayer::Stats *StatsOut = nullptr,
-             const std::vector<uint64_t> *SeedCostNs = nullptr,
-             std::vector<uint64_t> *FinalCostNs = nullptr,
+             unsigned Threads = 1, GangReplayer::Stats *StatsOut = nullptr,
              TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
   /// replayGang() without the runtime-system overhead cycles.
@@ -178,10 +168,7 @@ public:
   replayGangNoOverhead(const std::string &Benchmark,
                        const std::vector<VariantSpec> &Variants,
                        const CpuConfig &Cpu, unsigned Threads = 1,
-                       GangSchedule Schedule = GangSchedule::Static,
                        GangReplayer::Stats *StatsOut = nullptr,
-                       const std::vector<uint64_t> *SeedCostNs = nullptr,
-                       std::vector<uint64_t> *FinalCostNs = nullptr,
                        TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
 private:

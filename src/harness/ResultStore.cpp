@@ -103,8 +103,8 @@ void feedString(uint64_t &Hash, const std::string &S) {
 /// the strategy configuration, the static-resource counts, the
 /// predictor kind + active geometry, and the CPU id. Deliberately NOT
 /// the variant display name (cosmetic) and NOT chunk size / thread
-/// count / schedule (bit-identity invariants — caching across them is
-/// the point).
+/// count (bit-identity invariants — caching across them is the point)
+/// or the inert schedule line.
 void feedMemberConfig(uint64_t &Hash, const SweepSpec &Spec, size_t Member) {
   size_t CpuIdx = 0, VarIdx = 0, PredIdx = 0;
   Spec.decodeMember(Member, CpuIdx, VarIdx, PredIdx);

@@ -96,9 +96,9 @@ StoreKey cellStoreKey(const SweepSpec &Spec, size_t Member,
                       uint64_t TraceContentHash);
 
 /// 64-bit member-configuration key with NO trace hash folded in: the
-/// key space of the `.vmibcost` replay-cost sidecar (WorkloadCache),
-/// which binds to the trace separately so one member config maps to
-/// one cost entry per workload.
+/// trace-independent identity the audit sampler draws cells by, so a
+/// member config is sampled the same way under every trace and shard
+/// layout.
 uint64_t memberCostKey(const SweepSpec &Spec, size_t Member);
 
 /// What the `[store]` summary line reports.

@@ -4,7 +4,6 @@
 
 #include "harness/Auditor.h"
 #include "harness/SweepRunner.h"
-#include "harness/WorkloadCache.h"
 #include "support/Statistics.h"
 #include "uarch/CaseBlockTable.h"
 #include "uarch/CpuModel.h"
@@ -17,51 +16,6 @@
 #include <thread>
 
 using namespace vmib;
-
-namespace {
-
-/// Whether this run's gangs produce measured per-member costs worth
-/// persisting (the dynamic scheduler on a real pool).
-bool dynamicPooled(const SweepSpec &Spec) {
-  return Spec.Schedule == GangSchedule::Dynamic &&
-         resolveGangThreads(Spec.Threads) > 1;
-}
-
-/// Loads the persisted cost table of \p TraceKey into a by-key map.
-std::map<uint64_t, uint64_t> loadCostMap(const std::string &TraceKey,
-                                         uint64_t TraceHash) {
-  std::map<uint64_t, uint64_t> Map;
-  std::vector<MemberCost> Persisted;
-  if (loadMemberCosts(TraceKey, TraceHash, Persisted))
-    for (const MemberCost &C : Persisted)
-      Map[C.MemberKey] = C.CostNs;
-  return Map;
-}
-
-/// Folds \p Final (per gang-member measured EWMAs; 0 = unmeasured)
-/// back into \p Map under each member's config key and persists the
-/// merged table (best-effort, like every sidecar write).
-void saveCostMap(const SweepSpec &Spec, const std::vector<size_t> &Members,
-                 const std::vector<uint64_t> &Final,
-                 std::map<uint64_t, uint64_t> &Map,
-                 const std::string &TraceKey, uint64_t TraceHash) {
-  bool Changed = false;
-  for (size_t K = 0; K < Members.size() && K < Final.size(); ++K) {
-    if (Final[K] == 0)
-      continue;
-    Map[memberCostKey(Spec, Members[K])] = Final[K];
-    Changed = true;
-  }
-  if (!Changed)
-    return;
-  std::vector<MemberCost> ToSave;
-  ToSave.reserve(Map.size());
-  for (const auto &[Key, Ns] : Map)
-    ToSave.push_back({Key, Ns});
-  (void)saveMemberCosts(TraceKey, TraceHash, ToSave);
-}
-
-} // namespace
 
 unsigned vmib::resolveGangThreads(unsigned SpecThreads) {
   if (SpecThreads != 0)
@@ -133,32 +87,15 @@ SweepExecutor::runForthSlice(const SweepSpec &Spec, size_t Workload,
       break;
     }
   }
-  // Persisted dynamic-scheduler costs: seed each gang member's EWMA
-  // from the trace's cost sidecar so even tile 0 plans cost-weighted.
-  const bool PersistCosts = dynamicPooled(Spec);
-  const std::string TraceKey = "forth-" + Benchmark;
-  std::map<uint64_t, uint64_t> CostMap;
-  if (PersistCosts) {
-    CostMap = loadCostMap(TraceKey, Source.contentHash());
-    for (size_t K = 0; K < Members.size(); ++K) {
-      auto It = CostMap.find(memberCostKey(Spec, Members[K]));
-      if (It != CostMap.end() && It->second != 0)
-        Gang.seedMemberCost(K, It->second);
-    }
-  }
   // Only wire the stats through when the caller wants them: a non-null
-  // StatsOut makes every static (member, tile) execution pay two clock
+  // StatsOut makes every pooled (member, tile) execution pay two clock
   // reads (see GangReplayer's Timed gate), which a --worker process
   // with no consumer should not fund.
   GangReplayer::Stats GangLoad;
-  std::vector<PerfCounters> Out =
-      Gang.run(resolveGangThreads(Spec.Threads), Spec.Schedule,
-               LoadOut ? &GangLoad : nullptr);
+  std::vector<PerfCounters> Out = Gang.run(resolveGangThreads(Spec.Threads),
+                                           LoadOut ? &GangLoad : nullptr);
   if (LoadOut)
     LoadOut->merge(GangLoad);
-  if (PersistCosts)
-    saveCostMap(Spec, Members, Gang.finalCosts(), CostMap, TraceKey,
-                Source.contentHash());
   return Out;
 }
 
@@ -177,16 +114,6 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
   // slicing cannot change any cell.
   assert(Spec.Predictors.size() <= 1 &&
          "validateSweepSpec caps java specs at one predictor entry");
-  const bool PersistCosts = dynamicPooled(Spec);
-  const std::string TraceKey = "java-" + Benchmark;
-  std::map<uint64_t, uint64_t> CostMap;
-  uint64_t TraceHash = 0;
-  if (PersistCosts) {
-    // traceSource avoids materializing a streamed trace just for its
-    // hash (the streaming view carries the verified header's value).
-    TraceHash = Lab.traceSource(Benchmark, Spec.Decode).contentHash();
-    CostMap = loadCostMap(TraceKey, TraceHash);
-  }
   std::vector<PerfCounters> Out;
   size_t V = Spec.Variants.size();
   size_t Pos = 0;
@@ -200,31 +127,15 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
     assert(Known && "validateSweepSpec admits only known cpu ids");
     (void)Known;
     std::vector<VariantSpec> Subset;
-    std::vector<uint64_t> SeedNs(GroupEnd - Pos, 0);
     Subset.reserve(GroupEnd - Pos);
-    for (size_t K = Pos; K < GroupEnd; ++K) {
+    for (size_t K = Pos; K < GroupEnd; ++K)
       Subset.push_back(Spec.Variants[Members[K] % V]);
-      if (PersistCosts) {
-        auto It = CostMap.find(memberCostKey(Spec, Members[K]));
-        if (It != CostMap.end())
-          SeedNs[K - Pos] = It->second;
-      }
-    }
     GangReplayer::Stats GangLoad;
-    std::vector<uint64_t> FinalNs;
-    std::vector<PerfCounters> Row =
-        Lab.replayGang(Benchmark, Subset, Cpu,
-                       resolveGangThreads(Spec.Threads), Spec.Schedule,
-                       LoadOut ? &GangLoad : nullptr,
-                       PersistCosts ? &SeedNs : nullptr,
-                       PersistCosts ? &FinalNs : nullptr, Spec.Decode);
+    std::vector<PerfCounters> Row = Lab.replayGang(
+        Benchmark, Subset, Cpu, resolveGangThreads(Spec.Threads),
+        LoadOut ? &GangLoad : nullptr, Spec.Decode);
     if (LoadOut)
       LoadOut->merge(GangLoad);
-    if (PersistCosts && !FinalNs.empty()) {
-      std::vector<size_t> GroupMembers(Members.begin() + Pos,
-                                       Members.begin() + GroupEnd);
-      saveCostMap(Spec, GroupMembers, FinalNs, CostMap, TraceKey, TraceHash);
-    }
     Out.insert(Out.end(), Row.begin(), Row.end());
     Pos = GroupEnd;
   }

@@ -12,14 +12,13 @@
 ///    member range as a single gang (what a `sweep_driver --worker`
 ///    process executes for its ShardJob).
 ///
-/// Both paths honor the spec's `Threads` and `Schedule` knobs: each
-/// gang replays on GangReplayer's shared-tile worker pool when the
-/// resolved thread count exceeds 1 (Threads == 0 auto-detects the
-/// host's core count, see resolveGangThreads), under either the
-/// static-slice or the cost-aware dynamic scheduler — so a worker
-/// process can use several cores of its host without re-decoding the
-/// trace per core (two-level shards × threads fan-out). Cells are
-/// bit-identical for any (shards, threads, schedule) triple.
+/// Both paths honor the spec's `Threads` knob: each gang replays on
+/// GangReplayer's shared-tile worker pool (fixed member slices) when
+/// the resolved thread count exceeds 1 (Threads == 0 auto-detects the
+/// host's core count, see resolveGangThreads) — so a worker process
+/// can use several cores of its host without re-decoding the trace
+/// per core (two-level shards × threads fan-out). Cells are
+/// bit-identical for any (shards, threads) pair.
 ///
 /// Every member is a *full* replay, so a member's counters do not
 /// depend on which other members share the gang — `runAll` and any
@@ -60,7 +59,7 @@ struct SweepRunStats {
   uint64_t ReplayedEvents = 0;
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
-  /// replayed (per-worker events/waits/steals/busy time, catch-up
+  /// replayed (per-worker events/waits/busy time, catch-up
   /// counts, the gangs' own run() wall) — what the `:loadbalance`
   /// timing line renders.
   GangReplayer::Stats Load;
@@ -104,9 +103,9 @@ public:
 
   /// Runs gang members [MemberBegin, MemberEnd) of workload \p Workload
   /// as one gang over the workload's trace; results in member order.
-  /// The gang replays on resolveGangThreads(Spec.Threads) workers under
-  /// Spec.Schedule; \p LoadOut, when non-null, accumulates (merges) the
-  /// gang's pool accounting. \p ComputedOut, when non-null, receives
+  /// The gang replays on resolveGangThreads(Spec.Threads) workers;
+  /// \p LoadOut, when non-null, accumulates (merges) the gang's pool
+  /// accounting. \p ComputedOut, when non-null, receives
   /// how many members were replayed rather than served from the store.
   std::vector<PerfCounters> runSlice(const SweepSpec &Spec, size_t Workload,
                                      size_t MemberBegin, size_t MemberEnd,

@@ -8,8 +8,8 @@
 ///   chunk 0
 ///   threads 1            # optional: absent (PR-3-era files) means 1;
 ///                        # 0 = auto-detect (hardware_concurrency)
-///   schedule static      # optional: absent means static; `dynamic`
-///                        # enables cost-aware work-stealing replay
+///   schedule static      # optional and inert: parsed and printed,
+///                        # never read by execution (see GangSchedule)
 ///   cpu p4northwood
 ///   benchmark fib
 ///   variant name="static repl" kind=static-repl supers=0 replicas=400
@@ -405,8 +405,8 @@ bool vmib::parseSweepSpec(const std::string &Text, SweepSpec &Out,
                            (unsigned long long)N));
       Out.Threads = static_cast<unsigned>(N);
     } else if (Key == "schedule" && Tokens.size() == 2) {
-      // Optional declaration: PR-4-era files without it parse as the
-      // static (contiguous-slice) scheduler.
+      // Optional, inert declaration (see GangSchedule): files without
+      // it parse as static.
       if (!gangScheduleFromId(Tokens[1], Out.Schedule))
         return Fail("unknown schedule '" + Tokens[1] +
                     "' (expected static or dynamic)");

@@ -35,7 +35,6 @@
 #include "uarch/BTB.h"
 #include "uarch/PerfCounters.h"
 #include "uarch/TwoLevelPredictor.h"
-#include "vmcore/GangSchedule.h"
 #include "vmcore/TraceSource.h"
 
 #include <cstddef>
@@ -43,6 +42,29 @@
 #include <vector>
 
 namespace vmib {
+
+/// The retired gang-scheduler choice of the `schedule static|dynamic`
+/// spec line. Inert: GangReplayer has one pooled schedule (fixed
+/// contiguous member slices), and nothing below SweepSpec reads the
+/// value. It still parses and prints so that existing spec files —
+/// including the benchmark's — keep round-tripping; drop it with the
+/// next benchmark change.
+enum class GangSchedule : uint8_t { Static, Dynamic };
+
+/// Stable token for spec files.
+inline const char *gangScheduleId(GangSchedule S) {
+  return S == GangSchedule::Dynamic ? "dynamic" : "static";
+}
+
+inline bool gangScheduleFromId(const std::string &Id, GangSchedule &Out) {
+  if (Id == "static")
+    Out = GangSchedule::Static;
+  else if (Id == "dynamic")
+    Out = GangSchedule::Dynamic;
+  else
+    return false;
+  return true;
+}
 
 /// One point on the predictor axis of a sweep. `Default` is the CPU
 /// model's own BTB; the other kinds name the §3/§8 ablation hardware.
@@ -80,11 +102,8 @@ struct SweepSpec {
   /// bit-identical cells. Composes with process sharding into a
   /// two-level shards × threads fan-out.
   unsigned Threads = 1;
-  /// How each gang's worker pool distributes members: static
-  /// contiguous slices (the default, and what a spec without the
-  /// field parses as) or the cost-aware dynamic scheduler with
-  /// work-stealing member replay. Bit-identical either way; dynamic is
-  /// the fast choice for gangs mixing cheap and expensive members.
+  /// Inert `schedule` line (see GangSchedule): parsed, validated and
+  /// printed, never read by execution.
   GangSchedule Schedule = GangSchedule::Static;
   /// How replay acquires each workload's event stream: materialize
   /// the whole trace in memory (the classic zero-copy path), stream

@@ -95,30 +95,6 @@ bool saveTrainedProfile(const std::string &Key, uint64_t BoundHash,
 bool loadTrainedProfile(const std::string &Key, uint64_t ExpectedBoundHash,
                         SequenceProfile &Profile);
 
-/// One persisted per-member replay-cost EWMA (`<key>.vmibcost`): the
-/// dynamic gang scheduler's learned nanosecond cost of one gang member
-/// crossing one tile, keyed by the member's configuration hash
-/// (memberCostKey in harness/ResultStore.h — trace-independent, so
-/// the same member config reuses its cost across shard slicings).
-struct MemberCost {
-  uint64_t MemberKey = 0;
-  uint64_t CostNs = 0;
-};
-
-/// Persists the cost table bound to \p BoundHash — the *content* hash
-/// of the trace the costs were measured over, so a re-captured trace
-/// retires them. Same best-effort contract as saveWorkloadMeta.
-bool saveMemberCosts(const std::string &Key, uint64_t BoundHash,
-                     const std::vector<MemberCost> &Costs);
-
-/// Loads the cost table; \returns false (leaving \p Costs untouched)
-/// unless the file exists, verifies, and is bound to exactly
-/// \p ExpectedBoundHash. Costs only ever seed the dynamic scheduler's
-/// first tile plan — a stale-but-verifying table degrades wall clock,
-/// never counters.
-bool loadMemberCosts(const std::string &Key, uint64_t ExpectedBoundHash,
-                     std::vector<MemberCost> &Costs);
-
 } // namespace vmib
 
 #endif // VMIB_HARNESS_WORKLOADCACHE_H

@@ -2,8 +2,6 @@
 
 #include "support/CommandLine.h"
 
-#include <cstdlib>
-
 using namespace vmib;
 
 OptionParser::OptionParser(int Argc, const char *const *Argv) {
@@ -32,9 +30,25 @@ std::string OptionParser::get(const std::string &Name,
   return It == Options.end() ? Default : It->second;
 }
 
-int64_t OptionParser::getInt(const std::string &Name, int64_t Default) const {
+bool OptionParser::getCount(const std::string &Name, uint64_t Default,
+                            uint64_t &Out) const {
   auto It = Options.find(Name);
-  if (It == Options.end())
-    return Default;
-  return std::strtoll(It->second.c_str(), nullptr, 0);
+  if (It == Options.end()) {
+    Out = Default;
+    return true;
+  }
+  const std::string &V = It->second;
+  if (V.empty() || (V.size() > 1 && V[0] == '0'))
+    return false;
+  uint64_t N = 0;
+  for (char C : V) {
+    if (C < '0' || C > '9')
+      return false;
+    unsigned D = static_cast<unsigned>(C - '0');
+    if (N > (UINT64_MAX - D) / 10)
+      return false;
+    N = N * 10 + D;
+  }
+  Out = N;
+  return true;
 }

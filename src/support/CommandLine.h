@@ -26,7 +26,13 @@ public:
   bool has(const std::string &Name) const;
   std::string get(const std::string &Name,
                   const std::string &Default = "") const;
-  int64_t getInt(const std::string &Name, int64_t Default) const;
+  /// Strict decimal count: \p Out is \p Default when --Name is absent,
+  /// else its value — digits only, no sign, base prefix, leading zero
+  /// or trailing text, no uint64 overflow. \returns false (leaving
+  /// \p Out untouched) on anything else, so a typo diagnoses instead
+  /// of turning into 0, an octal number or a truncated prefix.
+  bool getCount(const std::string &Name, uint64_t Default,
+                uint64_t &Out) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
 

@@ -69,14 +69,11 @@ struct Group {
 };
 
 /// One slot of the parallel tile ring. The decoder publishes a tile by
-/// storing its index into Seq (release) after filling Begin/End, the
-/// per-group chunks and (dynamic schedule) the owner plan; workers
-/// drain Pending (release) — one decrement per worker under the static
-/// schedule; one per member execution PLUS one sweep token per worker
-/// under the dynamic schedule — and the decoder refills the slot once
-/// Pending hits zero (acquire), so chunk memory is never written while
-/// a worker reads it and a claim ledger is never recycled under a
-/// worker that has not swept the tile yet.
+/// storing its index into Seq (release) after filling Begin/End and the
+/// per-group chunks; each worker decrements Pending (release) once it
+/// replayed its member slice over the tile, and the decoder refills the
+/// slot once Pending hits zero (acquire), so chunk memory is never
+/// written while a worker reads it.
 struct TileSlot {
   /// The tile's event window. Materialized sources alias the trace
   /// arena (Raw stays empty); streaming sources decode the tile into
@@ -87,20 +84,12 @@ struct TileSlot {
   std::vector<DispatchTrace::Event> Raw;
   std::vector<gang::DecodedChunk> Chunks; ///< one per group
   std::atomic<int64_t> Seq{-1};           ///< tile index this slot holds
-  std::atomic<unsigned> Pending{0};       ///< drain count (see above)
-  // Dynamic schedule only: the per-tile owner table. Order is the
-  // claim scan order (members by descending measured cost), OwnerOf
-  // the cost-weighted plan, Claimed the one-owner-per-member-per-tile
-  // ledger (exchange 0->1 wins the member for this tile).
-  std::vector<uint32_t> Order;
-  std::vector<uint16_t> OwnerOf;
-  std::unique_ptr<std::atomic<uint8_t>[]> Claimed;
+  std::atomic<unsigned> Pending{0};       ///< workers yet to drain it
 };
 
 } // namespace
 
 std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
-                                            GangSchedule Schedule,
                                             Stats *StatsOut) {
   Clock::time_point RunStart = Clock::now();
   // Scratch sizing: a tile never exceeds the trace, so clamp before
@@ -165,7 +154,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
   // Live-member count per group: once a group's last member leaves
   // (an I-cache catch-up moves it onto the fused kernel), decoding for
-  // it stops. In the pooled modes a worker decrements only after its
+  // it stops. In the pooled pass a worker decrements only after its
   // member stopped consuming, so the count can never read zero while a
   // consumer of a future tile is still active.
   std::vector<std::atomic<unsigned>> GroupAlive(Groups.size());
@@ -227,28 +216,20 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     }
   } else {
     // Shared-tile worker pool: the calling thread decodes tiles into a
-    // small ring; Threads workers replay members off the published
-    // slots. Under either schedule a member has exactly one owner per
-    // tile and crosses tiles in stream order, so every member sees
-    // exactly the serial event sequence and counters are bit-identical
-    // for any thread count and any steal schedule; the ring only
-    // bounds how far decode runs ahead.
+    // small ring; Threads workers replay fixed contiguous member slices
+    // off the published slots. A member has exactly one owner for the
+    // whole pass and crosses tiles in stream order, so every member
+    // sees exactly the serial event sequence and counters are
+    // bit-identical for any thread count; the ring only bounds how far
+    // decode runs ahead.
     size_t NumTiles =
         (Source.numEvents() + ChunkCapacity - 1) / ChunkCapacity;
     size_t Slots = std::min<size_t>(4, NumTiles);
-    bool Dynamic = Schedule == GangSchedule::Dynamic;
     std::vector<TileSlot> Ring(Slots);
     for (TileSlot &S : Ring) {
       S.Chunks.reserve(Groups.size());
       for (Group &G : Groups)
         S.Chunks.push_back(G.Decoder->makeChunk());
-      if (Dynamic) {
-        S.Order.resize(M);
-        S.OwnerOf.assign(M, 0);
-        S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(M);
-        for (size_t I = 0; I < M; ++I)
-          S.Claimed[I].store(0, std::memory_order_relaxed);
-      }
     }
 
     std::atomic<bool> Abort{false};
@@ -266,32 +247,11 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     const unsigned NumWorkers = Threads;
     St.Workers.assign(NumWorkers, Stats::Worker());
 
-    // The dynamic planner always needs the per-execution cost samples;
-    // a static run only pays the two clock reads per (member, tile)
-    // when the caller asked for stats — the PR-4 hot path stays
-    // clock-free otherwise (chunk=1 runs make the reads comparable to
-    // the replay work itself).
-    const bool Timed = Dynamic || StatsOut != nullptr;
-
-    /// Replays member \p I over the published tile in \p S, with the
-    /// per-execution accounting both schedules share. \returns the
-    /// measured nanoseconds (the dynamic scheduler's cost sample; 0
-    /// when untimed).
-    auto ReplayMemberTile = [&](size_t I, TileSlot &S,
-                                Stats::Worker &WS) -> uint64_t {
-      Clock::time_point T0;
-      if (Timed)
-        T0 = Clock::now();
-      RunMemberSpan(I, GroupOf[I] < 0 ? nullptr : &S.Chunks[GroupOf[I]],
-                    S.Span);
-      uint64_t Ns = 0;
-      if (Timed) {
-        Ns = elapsedNs(T0);
-        WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
-      }
-      WS.EventsReplayed += S.Span.size();
-      return Ns;
-    };
+    // The two clock reads per (member, tile) are paid only when the
+    // caller asked for stats — the hot path stays clock-free otherwise
+    // (chunk=1 runs make the reads comparable to the replay work
+    // itself).
+    const bool Timed = StatsOut != nullptr;
 
     /// Waits for slot \p S to carry tile \p T; \returns false on abort.
     auto AwaitTile = [&](TileSlot &S, size_t T, Stats::Worker &WS) {
@@ -308,29 +268,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       return true;
     };
 
-    // Per-member serialization and cost state of the dynamic
-    // scheduler. DoneTile[I] counts the tiles member I completed: the
-    // claimant of (I, T) spins until DoneTile[I] == T (acquire) and
-    // stores T+1 (release) afterwards — the happens-before edge that
-    // carries member state between owners across tiles. CostNs[I] is a
-    // relaxed EWMA of the member's per-tile replay cost; it only
-    // steers the plan, never the results.
-    std::unique_ptr<std::atomic<uint64_t>[]> DoneTile;
-    std::unique_ptr<std::atomic<uint64_t>[]> CostNs;
-    if (Dynamic) {
-      DoneTile = std::make_unique<std::atomic<uint64_t>[]>(M);
-      CostNs = std::make_unique<std::atomic<uint64_t>[]>(M);
-      for (size_t I = 0; I < M; ++I) {
-        DoneTile[I].store(0, std::memory_order_relaxed);
-        // Seeded costs (persisted EWMAs of a previous run) make even
-        // tile 0's plan cost-weighted; the EWMA update then absorbs
-        // them like any other past sample.
-        CostNs[I].store(I < SeedCostNs.size() ? SeedCostNs[I] : 0,
-                        std::memory_order_relaxed);
-      }
-    }
-
-    auto StaticWorker = [&](unsigned W) {
+    auto Worker = [&](unsigned W) {
       Stats::Worker &WS = St.Workers[W];
       // Near-equal contiguous member slice; the first (M % workers)
       // slices carry one extra member.
@@ -342,126 +280,30 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
           TileSlot &S = Ring[T % Slots];
           if (!AwaitTile(S, T, WS))
             return;
-          for (size_t I = MBegin; I < MEnd; ++I)
-            (void)ReplayMemberTile(I, S, WS);
-          S.Pending.fetch_sub(1, std::memory_order_release);
-        }
-      } catch (...) {
-        Record();
-      }
-    };
-
-    auto DynamicWorker = [&](unsigned W) {
-      Stats::Worker &WS = St.Workers[W];
-      try {
-        for (size_t T = 0; T < NumTiles; ++T) {
-          TileSlot &S = Ring[T % Slots];
-          if (!AwaitTile(S, T, WS))
-            return;
-          // Pass 0 claims the worker's cost-weighted plan slice; pass
-          // 1 steals members other workers have not claimed yet AND
-          // whose previous tile already completed (a stealer must not
-          // park behind the hot member while ready work idles); pass 2
-          // is the unconditional coverage sweep — it claims whatever
-          // is left, waiting as needed. A single worker's pass-0 +
-          // pass-2 sweeps cover every member, so by the time anyone
-          // advances past tile T, all of tile T's members are claimed
-          // by *someone* who will execute them — the progress argument
-          // behind the DoneTile spins.
-          for (int Pass = 0; Pass < 3; ++Pass) {
-            for (size_t K = 0; K < M; ++K) {
-              uint32_t I = S.Order[K];
-              if ((S.OwnerOf[I] == W) != (Pass == 0))
-                continue;
-              if (Pass == 1 &&
-                  DoneTile[I].load(std::memory_order_acquire) !=
-                      static_cast<uint64_t>(T))
-                continue; // not ready — leave it for a readier thief
-              if (S.Claimed[I].exchange(1, std::memory_order_relaxed) != 0)
-                continue;
-              // One owner per member per tile: serialize against the
-              // member's previous tile before touching its state.
-              while (DoneTile[I].load(std::memory_order_acquire) != T) {
-                if (Abort.load(std::memory_order_relaxed))
-                  return;
-                std::this_thread::yield();
-              }
-              uint64_t Ns = ReplayMemberTile(I, S, WS);
-              uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
-              CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
-                              std::memory_order_relaxed);
-              if (Pass != 0)
-                ++WS.MembersStolen;
-              DoneTile[I].store(T + 1, std::memory_order_release);
-              S.Pending.fetch_sub(1, std::memory_order_release);
-            }
+          for (size_t I = MBegin; I < MEnd; ++I) {
+            Clock::time_point T0;
+            if (Timed)
+              T0 = Clock::now();
+            RunMemberSpan(I, GroupOf[I] < 0 ? nullptr : &S.Chunks[GroupOf[I]],
+                          S.Span);
+            if (Timed)
+              WS.BusySeconds += static_cast<double>(elapsedNs(T0)) * 1e-9;
+            WS.EventsReplayed += S.Span.size();
           }
-          // Sweep token: the slot also carries one Pending unit per
-          // WORKER, returned only after this worker's claim sweep of
-          // the tile. Without it a worker that claimed nothing in tile
-          // T would leave no trace, the decoder could recycle the slot
-          // past it, and its late claim sweep would grab entries of
-          // the ledger's NEXT tile while waiting for DoneTile == T —
-          // a deadlock. With the token a slot never advances until
-          // every worker has swept it, so AwaitTile always observes
-          // exactly tile T.
           S.Pending.fetch_sub(1, std::memory_order_release);
         }
       } catch (...) {
         Record();
       }
-    };
-
-    // Cost-weighted plan for one tile: claim order is members by
-    // descending measured cost, the owner table a greedy LPT
-    // assignment onto the least-loaded worker. Tile 0 has no samples
-    // yet (all costs zero), so the stable sort keeps add order and LPT
-    // deals members round-robin; from tile 1 on the plan follows the
-    // measured costs — the "cost-weighted initial slices from the
-    // first tiles". Decoder-only state, published with the slot.
-    std::vector<uint64_t> PlanLoad(NumWorkers);
-    std::vector<uint64_t> CostSnap(Dynamic ? M : 0);
-    auto PlanTile = [&](TileSlot &S) {
-      // Snapshot the costs first: workers update the EWMAs while this
-      // runs, and a comparator whose answers shift mid-sort violates
-      // strict weak ordering.
-      for (size_t I = 0; I < M; ++I) {
-        CostSnap[I] = CostNs[I].load(std::memory_order_relaxed);
-        S.Order[I] = static_cast<uint32_t>(I);
-      }
-      std::stable_sort(S.Order.begin(), S.Order.end(),
-                       [&](uint32_t A, uint32_t B) {
-                         return CostSnap[A] > CostSnap[B];
-                       });
-      std::fill(PlanLoad.begin(), PlanLoad.end(), 0);
-      for (size_t K = 0; K < M; ++K) {
-        uint32_t I = S.Order[K];
-        unsigned Best = 0;
-        for (unsigned W = 1; W < NumWorkers; ++W)
-          if (PlanLoad[W] < PlanLoad[Best])
-            Best = W;
-        S.OwnerOf[I] = static_cast<uint16_t>(Best);
-        PlanLoad[Best] += std::max<uint64_t>(CostSnap[I], 1);
-      }
-      for (size_t I = 0; I < M; ++I)
-        S.Claimed[I].store(0, std::memory_order_relaxed);
     };
 
     std::vector<std::thread> Pool;
     Pool.reserve(NumWorkers);
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      if (Dynamic)
-        Pool.emplace_back(DynamicWorker, W);
-      else
-        Pool.emplace_back(StaticWorker, W);
-    }
+    for (unsigned W = 0; W < NumWorkers; ++W)
+      Pool.emplace_back(Worker, W);
 
-    // Decoder loop (this thread): refill each ring slot once it
-    // drained, decode the live groups, plan (dynamic), publish. A
-    // dynamic slot drains after M member executions plus one sweep
-    // token per worker (see DynamicWorker).
-    const unsigned PendingInit =
-        Dynamic ? static_cast<unsigned>(M) + NumWorkers : NumWorkers;
+    // Decoder loop (this thread): refill each ring slot once every
+    // worker drained it, decode the live groups, publish.
     try {
       TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
       for (size_t T = 0; T < NumTiles; ++T) {
@@ -498,9 +340,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         for (size_t G = 0; G < Groups.size(); ++G)
           if (GroupAlive[G].load(std::memory_order_relaxed) != 0)
             Groups[G].Decoder->decodeInto(S.Span, S.Chunks[G]);
-        if (Dynamic)
-          PlanTile(S);
-        S.Pending.store(PendingInit, std::memory_order_relaxed);
+        S.Pending.store(NumWorkers, std::memory_order_relaxed);
         S.Seq.store(static_cast<int64_t>(T), std::memory_order_release);
       }
     } catch (...) {
@@ -510,11 +350,6 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       Th.join();
     if (FirstError)
       std::rethrow_exception(FirstError);
-    if (Dynamic) {
-      FinalCostNs.resize(M);
-      for (size_t I = 0; I < M; ++I)
-        FinalCostNs[I] = CostNs[I].load(std::memory_order_relaxed);
-    }
   }
 
   for (uint64_t Events : CatchUpEvents) {

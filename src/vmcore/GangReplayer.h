@@ -50,21 +50,17 @@
 ///
 /// run(Threads) with Threads > 1 replays the gang on a shared-tile
 /// worker pool: the calling thread decodes tiles into a small ring and
-/// Threads workers replay member work off the same decoded tile. Under
-/// GangSchedule::Static each worker owns a fixed contiguous member
-/// slice for the whole pass; under GangSchedule::Dynamic the decoder
-/// publishes a cost-weighted owner table with every tile and idle
-/// workers steal whole members at tile boundaries. Either way a member
-/// has exactly one owner per tile and crosses tiles in stream order,
-/// so counters are bit-identical for any thread count and any steal
-/// schedule (tests/GangReplayTest.cpp pins the invariance).
+/// Threads workers replay member work off the same decoded tile, each
+/// owning a fixed contiguous member slice for the whole pass. A member
+/// has exactly one owner and crosses tiles in stream order, so
+/// counters are bit-identical for any thread count
+/// (tests/GangReplayTest.cpp pins the invariance).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VMIB_VMCORE_GANGREPLAYER_H
 #define VMIB_VMCORE_GANGREPLAYER_H
 
-#include "vmcore/GangSchedule.h"
 #include "vmcore/TraceReplayer.h"
 #include "vmcore/TraceSource.h"
 
@@ -929,31 +925,11 @@ public:
 
   size_t size() const { return Members.size(); }
 
-  /// Seeds the dynamic scheduler's measured-cost EWMA for member
-  /// \p Member (add order) with \p Ns nanoseconds per tile — typically
-  /// a persisted cost from a previous run over the same trace
-  /// (WorkloadCache::loadMemberCosts). A seeded gang plans its FIRST
-  /// tile cost-weighted instead of round-robin. Costs steer the plan
-  /// only, never the results; a wildly stale seed costs wall clock on
-  /// early tiles until the EWMA converges. No-op for static schedules.
-  void seedMemberCost(size_t Member, uint64_t Ns) {
-    if (SeedCostNs.size() < Members.size())
-      SeedCostNs.resize(Members.size(), 0);
-    assert(Member < Members.size() && "seed for a member not added yet");
-    SeedCostNs[Member] = Ns;
-  }
-
-  /// The per-member cost EWMAs as of the end of the last dynamic
-  /// pooled run() (nanoseconds per tile, add order; 0 = never
-  /// measured). Empty unless such a run happened — the executor
-  /// persists these for the next process's seedMemberCost.
-  const std::vector<uint64_t> &finalCosts() const { return FinalCostNs; }
-
   /// Pool accounting of one run(): who replayed how much, who waited,
-  /// who stole, and what the catch-ups cost. Workers is empty for
-  /// serial runs (no pool to account). The sweep layers aggregate this
-  /// across gangs (merge) and sweep_driver --verify renders it as the
-  /// `:loadbalance` timing line.
+  /// and what the catch-ups cost. Workers is empty for serial runs (no
+  /// pool to account). The sweep layers aggregate this across gangs
+  /// (merge) and sweep_driver --verify renders it as the `:loadbalance`
+  /// timing line.
   struct Stats {
     struct Worker {
       /// Member-events this worker replayed (tile span summed per
@@ -962,8 +938,9 @@ public:
       /// Tiles where the worker stalled waiting for the decoder to
       /// publish (decode-bound or arrived early).
       uint64_t TilesWaited = 0;
-      /// Dynamic only: member executions taken outside the worker's
-      /// cost-weighted plan slice (the steal count).
+      /// Inert, always 0: the pool has no work stealing. Kept only for
+      /// the benchmark driver, which still sums it; drop it with the
+      /// next benchmark change.
       uint64_t MembersStolen = 0;
       /// Wall time spent inside replay kernels, catch-ups included
       /// (busy fraction = BusySeconds / ReplayWallSeconds).
@@ -1036,28 +1013,18 @@ public:
   /// \p Threads <= 1 is the serial pass. Threads > 1 runs the
   /// shared-tile worker pool: the calling thread decodes each tile
   /// once into a small ring and \p Threads workers replay members off
-  /// it, distributed per \p Schedule:
-  ///
-  ///  - GangSchedule::Static — fixed near-equal contiguous member
-  ///    slices.
-  ///  - GangSchedule::Dynamic — the decoder publishes a cost-weighted
-  ///    owner table with every tile (LPT over per-member replay cost
-  ///    measured on earlier tiles); a worker first claims its planned
-  ///    members, then *steals* any member another worker has not
-  ///    claimed yet. Claims are per (member, tile) — exactly one owner
-  ///    per member per tile, serialized against the member's previous
-  ///    tile — so any steal schedule observes the serial event order.
+  /// it, each owning a fixed near-equal contiguous member slice for the
+  /// whole pass. Slices, not work stealing: a cost-weighted stealing
+  /// schedule measured no faster on any sweep, mixed-cost gangs
+  /// included (docs/simulation-pipeline.md, "Why static slices").
   ///
   /// A member whose optimistic models overflow in tile T catches up
-  /// on the worker that owns it for T (GangMember::catchUp) and
-  /// replays tile T+1 onward on the exact models, so no member leaves
-  /// the gang.
+  /// on the worker that owns it (GangMember::catchUp) and replays tile
+  /// T+1 onward on the exact models, so no member leaves the gang.
   ///
-  /// Counters are bit-identical across every (Threads, Schedule)
-  /// combination. \p StatsOut, when non-null, receives the pool
-  /// accounting of this run.
+  /// Counters are bit-identical for every \p Threads. \p StatsOut,
+  /// when non-null, receives the pool accounting of this run.
   std::vector<PerfCounters> run(unsigned Threads = 1,
-                                GangSchedule Schedule = GangSchedule::Static,
                                 Stats *StatsOut = nullptr);
 
 private:
@@ -1069,8 +1036,6 @@ private:
   TraceSource Source;
   size_t ChunkEvents;
   std::vector<std::unique_ptr<GangMember>> Members;
-  std::vector<uint64_t> SeedCostNs;
-  std::vector<uint64_t> FinalCostNs;
 };
 
 } // namespace vmib

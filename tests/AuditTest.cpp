@@ -5,8 +5,8 @@
 ///  - the `--audit=RATE` grammar and the deterministic, shape-free
 ///    sampling draw (same cells audited no matter how the sweep is
 ///    shaped or named);
-///  - the decorrelation matrix: the audit shape flips decode mode,
-///    schedule and thread count relative to the primary, and the
+///  - the decorrelation matrix: the audit shape flips decode mode and
+///    thread count relative to the primary, and the
 ///    tiebreak shape is the canonical clean configuration;
 ///  - PerfCounters fingerprint/flipBit, the audit layer's value
 ///    identity and the fault injector's corruption primitive;
@@ -225,11 +225,10 @@ TEST(AuditPlan, SamplingIsDeterministicShapeFreeAndSeeded) {
 
   // The draw is pure, and a reshaped/renamed/rechunked execution of
   // the same logical sweep samples the SAME cells — shard layout,
-  // threads, schedule, decode mode and display name are not identity.
+  // threads, decode mode and display name are not identity.
   SweepSpec Shaped = Spec;
   Shaped.Name = "renamed";
   Shaped.Threads = 8;
-  Shaped.Schedule = GangSchedule::Dynamic;
   Shaped.Decode = TraceDecodeMode::Stream;
   Shaped.ChunkEvents = 12345;
   size_t Sampled = 0;
@@ -269,27 +268,23 @@ TEST(AuditPlan, SamplingIsDeterministicShapeFreeAndSeeded) {
 TEST(AuditPlan, DecorrelatedShapeFlipsEveryAxis) {
   SweepSpec Spec;
   Spec.Decode = TraceDecodeMode::Materialize;
-  Spec.Schedule = GangSchedule::Static;
   Spec.Threads = 1;
   AuditShape D = decorrelatedAuditShape(Spec);
   EXPECT_EQ(D.Decode, TraceDecodeMode::Stream);
-  EXPECT_EQ(D.Schedule, GangSchedule::Dynamic);
   EXPECT_EQ(D.Threads, 2u);
+  EXPECT_EQ(auditShapeId(D), "decode:stream,threads:2");
 
   Spec.Decode = TraceDecodeMode::Stream;
-  Spec.Schedule = GangSchedule::Dynamic;
   Spec.Threads = 4;
   D = decorrelatedAuditShape(Spec);
   EXPECT_EQ(D.Decode, TraceDecodeMode::Materialize);
-  EXPECT_EQ(D.Schedule, GangSchedule::Static);
   EXPECT_EQ(D.Threads, 1u);
 
   // The tiebreak authority is the canonical clean configuration.
   AuditShape C = canonicalAuditShape();
   EXPECT_EQ(C.Decode, TraceDecodeMode::Materialize);
-  EXPECT_EQ(C.Schedule, GangSchedule::Static);
   EXPECT_EQ(C.Threads, 1u);
-  EXPECT_EQ(auditShapeId(C), "decode:materialize,schedule:static,threads:1");
+  EXPECT_EQ(auditShapeId(C), "decode:materialize,threads:1");
 }
 
 //===--- PerfCounters value identity --------------------------------------===//
@@ -407,8 +402,7 @@ TEST_F(AuditTest, WorkerSelfAuditRepairsBeforeEmitAndFoldsCounters) {
   SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
   Opt.CommandTemplate =
       "exec {driver} --worker --spec={spec} --shards={shards} --job={job} "
-      "--threads={threads} --schedule={schedule} --attempt={attempt} "
-      "--audit=1.0";
+      "--threads={threads} --attempt={attempt} --audit=1.0";
 
   std::vector<PerfCounters> Cells;
   SweepRunStats Stats;

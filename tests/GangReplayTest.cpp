@@ -44,6 +44,19 @@ JavaLab &javaLab() {
   return Lab;
 }
 
+/// One default-BTB gang member per variant over \p Bench's trace — the
+/// Forth gang shape the sweep executor builds for a suite figure.
+std::vector<PerfCounters> forthGang(const std::string &Bench,
+                                    const std::vector<VariantSpec> &Variants,
+                                    const CpuConfig &Cpu,
+                                    unsigned Threads = 1) {
+  ForthLab &Lab = forthLab();
+  GangReplayer Gang(Lab.trace(Bench));
+  for (const VariantSpec &V : Variants)
+    Gang.addDefault(Lab.buildLayout(Bench, V), Cpu);
+  return Gang.run(Threads);
+}
+
 void expectEqualCounters(const PerfCounters &Expected,
                          const PerfCounters &Gang, const std::string &What) {
   EXPECT_EQ(Expected.Cycles, Gang.Cycles) << What;
@@ -123,7 +136,7 @@ TEST(GangReplay, ForthAllVariantsBitIdentical) {
   Variants.push_back(makeVariant(DispatchStrategy::Switch));
   for (const std::string &Bench : {std::string("gray"),
                                    std::string("vmgen")}) {
-    std::vector<PerfCounters> Gang = Lab.replayGang(Bench, Variants, P4);
+    std::vector<PerfCounters> Gang = forthGang(Bench, Variants, P4);
     ASSERT_EQ(Gang.size(), Variants.size());
     for (size_t I = 0; I < Variants.size(); ++I)
       expectEqualCounters(Lab.replay(Bench, Variants[I], P4), Gang[I],
@@ -241,14 +254,14 @@ TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
 
 TEST(GangReplay, ICacheOverflowFallbackBitIdentical) {
   // Celeron: small I-cache plus code growth overflows the no-evict
-  // fast path on a replicating variant; the gang member defers to the
-  // exact-LRU rerun, like replay()'s fallback.
+  // fast path on a replicating variant; the gang member catches up
+  // onto the exact-LRU models, like replay()'s fallback.
   ForthLab &Lab = forthLab();
   CpuConfig Cel = makeCeleron800();
   std::vector<VariantSpec> Variants = {
       makeVariant(DispatchStrategy::Threaded),
       makeVariant(DispatchStrategy::DynamicBoth)};
-  std::vector<PerfCounters> Gang = Lab.replayGang("bench-gc", Variants, Cel);
+  std::vector<PerfCounters> Gang = forthGang("bench-gc", Variants, Cel);
   for (size_t I = 0; I < Variants.size(); ++I)
     expectEqualCounters(Lab.replay("bench-gc", Variants[I], Cel), Gang[I],
                         "celeron/" + Variants[I].Name);
@@ -520,7 +533,6 @@ namespace {
 /// predictor-only members, and a fused singleton.
 std::vector<PerfCounters>
 runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
-                   GangSchedule Schedule = GangSchedule::Static,
                    GangReplayer::Stats *StatsOut = nullptr) {
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
@@ -543,15 +555,15 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   Gang.addPredictorOnly(L, P4, TwoLevelPredictor(TL), Base);
   Gang.addPredictor(Lab.buildLayout("gray", Switch), P4,
                     CaseBlockTable(1024)); // singleton -> fused kernel
-  return Gang.run(Threads, Schedule, StatsOut);
+  return Gang.run(Threads, StatsOut);
 }
 
 /// The JVM quickening gang of the matrix: every member re-applies the
 /// recorded rewrites to its own program copy (fused members — the
 /// decoder ring still paces them tile by tile).
 std::vector<PerfCounters>
-runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
-                  GangSchedule Schedule = GangSchedule::Static) {
+runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk,
+                  unsigned Threads) {
   JavaLab &Lab = javaLab();
   CpuConfig P4 = makePentium4Northwood();
   std::vector<VariantSpec> Variants = {
@@ -566,44 +578,39 @@ runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
     Gang.addQuickening(std::shared_ptr<DispatchProgram>(std::move(Layout)),
                        std::move(Copy), P4);
   }
-  return Gang.run(Threads, Schedule);
+  return Gang.run(Threads);
 }
 
 } // namespace
 
 TEST(GangReplay, ForthThreadCountInvarianceMatrix) {
-  // The parallel-replay contract: any (threads, chunk, schedule)
-  // combination is bit-identical to the serial gang — including the
-  // overflowing catch-up member and the fingerprint-shared
-  // cross-CPU group. Chunk=1 over a 60K-event prefix gives the dynamic
-  // scheduler tens of thousands of tiny tiles, so the claim/steal
-  // machinery is exercised under maximal contention (a forced-steal
-  // schedule, not a lucky one).
+  // The parallel-replay contract: any (threads, chunk) combination is
+  // bit-identical to the serial gang — including the overflowing
+  // catch-up member and the fingerprint-shared cross-CPU group.
+  // Chunk=1 over a 60K-event prefix gives the pool tens of thousands
+  // of tiny tiles, so the ring's publish/drain handshake runs under
+  // maximal contention.
   ForthLab &Lab = forthLab();
   DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
   ASSERT_GT(Prefix.numEvents(), 0u);
   std::vector<PerfCounters> Serial =
       runForthMatrixGang(Prefix, /*Chunk=*/4096, /*Threads=*/1);
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic})
-    for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
-      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
-        std::vector<PerfCounters> R =
-            runForthMatrixGang(Prefix, Chunk, Threads, Schedule);
-        ASSERT_EQ(R.size(), Serial.size());
-        for (size_t I = 0; I < R.size(); ++I)
-          expectEqualCounters(Serial[I], R[I],
-                              "member " + std::to_string(I) + " chunk " +
-                                  std::to_string(Chunk) + " threads " +
-                                  std::to_string(Threads) + " schedule " +
-                                  gangScheduleId(Schedule));
-      }
+  for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
+    for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+      std::vector<PerfCounters> R = runForthMatrixGang(Prefix, Chunk, Threads);
+      ASSERT_EQ(R.size(), Serial.size());
+      for (size_t I = 0; I < R.size(); ++I)
+        expectEqualCounters(Serial[I], R[I],
+                            "member " + std::to_string(I) + " chunk " +
+                                std::to_string(Chunk) + " threads " +
+                                std::to_string(Threads));
+    }
 }
 
 TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
   // Same matrix over the quickening tier: JVM members are fused (each
   // owns a mutating program copy) and must stay bit-identical for any
-  // thread count, tile size and scheduler.
+  // thread count and tile size.
   JavaLab &Lab = javaLab();
   DispatchTrace Prefix = prefixTrace(Lab.trace("jess"), 60000);
   ASSERT_GT(Prefix.numEvents(), 0u);
@@ -611,20 +618,16 @@ TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
       << "prefix must cover quickening rewrites to exercise the tier";
   std::vector<PerfCounters> Serial =
       runJavaMatrixGang(Prefix, /*Chunk=*/4096, /*Threads=*/1);
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic})
-    for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
-      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
-        std::vector<PerfCounters> R =
-            runJavaMatrixGang(Prefix, Chunk, Threads, Schedule);
-        ASSERT_EQ(R.size(), Serial.size());
-        for (size_t I = 0; I < R.size(); ++I)
-          expectEqualCounters(Serial[I], R[I],
-                              "member " + std::to_string(I) + " chunk " +
-                                  std::to_string(Chunk) + " threads " +
-                                  std::to_string(Threads) + " schedule " +
-                                  gangScheduleId(Schedule));
-      }
+  for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
+    for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+      std::vector<PerfCounters> R = runJavaMatrixGang(Prefix, Chunk, Threads);
+      ASSERT_EQ(R.size(), Serial.size());
+      for (size_t I = 0; I < R.size(); ++I)
+        expectEqualCounters(Serial[I], R[I],
+                            "member " + std::to_string(I) + " chunk " +
+                                std::to_string(Chunk) + " threads " +
+                                std::to_string(Threads));
+    }
 }
 
 namespace {
@@ -659,8 +662,8 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
   // predictor-only members whose fetch baseline is a caught-up
   // member. Overflow is placed in the first, a middle and the last
   // tile of the pass; each placement runs materialized and streamed,
-  // serial and pooled under both schedulers, and every cell must equal
-  // the per-config TraceReplayer result.
+  // serial and pooled, and every cell must equal the per-config
+  // TraceReplayer result.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   CpuConfig TinyCache = P4;
@@ -682,8 +685,7 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
 
   // The gang and, member for member, its per-config oracle.
   auto BuildAndRun = [&](const TraceSource &Source, size_t Chunk,
-                         unsigned Threads, GangSchedule Schedule,
-                         GangReplayer::Stats *St) {
+                         unsigned Threads, GangReplayer::Stats *St) {
     GangReplayer Gang(Source, Chunk);
     size_t Base = Gang.addDefault(L, P4);
     size_t TinyBtb = Gang.addBtb(L, P4, Tiny);
@@ -695,7 +697,7 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
     Gang.addPredictor(L, TinyCache, TwoLevelPredictor(TL));
     Gang.addPredictorOnly(L, TinyCache, TwoLevelPredictor(TL), TinyIC);
     Gang.addDefault(LSwitch, TinyCache); // fused singleton
-    return Gang.run(Threads, Schedule, St);
+    return Gang.run(Threads, St);
   };
   auto Oracle = [&](const DispatchTrace &T) {
     std::vector<PerfCounters> R;
@@ -756,42 +758,38 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
     bool First = true;
     GangReplayer::Stats Ref;
     for (const TraceSource &Source : {TraceSource(P.Trace), Streamed})
-      for (unsigned Threads : {1u, 4u})
-        for (GangSchedule Schedule :
-             {GangSchedule::Static, GangSchedule::Dynamic}) {
-          std::string What = P.What + (Source.streaming() ? " stream" : "") +
-                             " threads " + std::to_string(Threads) + " " +
-                             gangScheduleId(Schedule);
-          GangReplayer::Stats St;
-          std::vector<PerfCounters> R =
-              BuildAndRun(Source, P.Chunk, Threads, Schedule, &St);
-          ASSERT_EQ(R.size(), Expected.size()) << What;
-          for (size_t I = 0; I < R.size(); ++I)
-            expectEqualCounters(Expected[I], R[I],
-                                What + " member " + std::to_string(I));
-          if (First) {
-            Ref = St;
-            First = false;
-            EXPECT_GE(St.DeferredFinishes, 3u) << What;
-            // Catch-ups replay prefixes, never more than the trace.
-            if (P.EndsAtOverflow) {
-              EXPECT_LE(St.CatchUpEvents, St.DeferredFinishes * N) << What;
-            } else {
-              EXPECT_LT(St.CatchUpEvents, St.DeferredFinishes * N) << What;
-            }
+      for (unsigned Threads : {1u, 4u}) {
+        std::string What = P.What + (Source.streaming() ? " stream" : "") +
+                           " threads " + std::to_string(Threads);
+        GangReplayer::Stats St;
+        std::vector<PerfCounters> R =
+            BuildAndRun(Source, P.Chunk, Threads, &St);
+        ASSERT_EQ(R.size(), Expected.size()) << What;
+        for (size_t I = 0; I < R.size(); ++I)
+          expectEqualCounters(Expected[I], R[I],
+                              What + " member " + std::to_string(I));
+        if (First) {
+          Ref = St;
+          First = false;
+          EXPECT_GE(St.DeferredFinishes, 3u) << What;
+          // Catch-ups replay prefixes, never more than the trace.
+          if (P.EndsAtOverflow) {
+            EXPECT_LE(St.CatchUpEvents, St.DeferredFinishes * N) << What;
+          } else {
+            EXPECT_LT(St.CatchUpEvents, St.DeferredFinishes * N) << What;
           }
-          EXPECT_EQ(St.DeferredFinishes, Ref.DeferredFinishes) << What;
-          EXPECT_EQ(St.CatchUpEvents, Ref.CatchUpEvents) << What;
         }
+        EXPECT_EQ(St.DeferredFinishes, Ref.DeferredFinishes) << What;
+        EXPECT_EQ(St.CatchUpEvents, Ref.CatchUpEvents) << What;
+      }
   }
   std::remove(Path.c_str());
 }
 
 TEST(GangReplay, SchedulerStatsAccountGangWork) {
   // The imbalance-reporting contract: the pool stats must add up — on
-  // a no-dropout gang every worker row is populated, the events
-  // replayed sum to members × trace events under both schedulers, and
-  // the dynamic run reports its plan/steal split over the same total.
+  // a no-dropout gang every worker row is populated and the events
+  // replayed sum to members × trace events.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
@@ -799,15 +797,14 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   std::shared_ptr<DispatchProgram> L = Lab.buildLayout("gray", Threaded);
   constexpr size_t NumMembers = 5;
 
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic}) {
+  {
     GangReplayer Gang(Prefix, /*Chunk=*/4096);
     for (size_t I = 0; I < NumMembers; ++I)
       Gang.addDefault(L, P4);
     GangReplayer::Stats St;
-    std::vector<PerfCounters> R = Gang.run(3, Schedule, &St);
+    std::vector<PerfCounters> R = Gang.run(3, &St);
     ASSERT_EQ(R.size(), NumMembers);
-    ASSERT_EQ(St.Workers.size(), 3u) << gangScheduleId(Schedule);
+    ASSERT_EQ(St.Workers.size(), 3u);
     uint64_t Events = 0, Steals = 0;
     double Busy = 0;
     for (const GangReplayer::Stats::Worker &W : St.Workers) {
@@ -815,14 +812,11 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
       Steals += W.MembersStolen;
       Busy += W.BusySeconds;
     }
-    EXPECT_EQ(Events, Prefix.numEvents() * NumMembers)
-        << gangScheduleId(Schedule);
+    EXPECT_EQ(Events, Prefix.numEvents() * NumMembers);
     EXPECT_GT(Busy, 0.0);
     EXPECT_EQ(St.DeferredFinishes, 0u);
     EXPECT_EQ(St.CatchUpEvents, 0u);
-    if (Schedule == GangSchedule::Static) {
-      EXPECT_EQ(Steals, 0u) << "static slices never steal";
-    }
+    EXPECT_EQ(Steals, 0u) << "fixed slices never steal";
     EXPECT_GE(St.FinishSeconds, 0.0);
     EXPECT_GE(St.ReplayWallSeconds, St.FinishSeconds);
     EXPECT_LE(Busy, St.ReplayWallSeconds * St.Workers.size());
@@ -832,7 +826,7 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   GangReplayer Gang(Prefix, 4096);
   Gang.addDefault(L, P4);
   GangReplayer::Stats St;
-  (void)Gang.run(1, GangSchedule::Dynamic, &St);
+  (void)Gang.run(1, &St);
   EXPECT_TRUE(St.Workers.empty());
 }
 
@@ -846,7 +840,7 @@ TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {
       makeVariant(DispatchStrategy::StaticRepl),
       makeVariant(DispatchStrategy::DynamicBoth)};
   std::vector<PerfCounters> FGang =
-      FLab.replayGang("gray", FVariants, P4, /*Threads=*/4);
+      forthGang("gray", FVariants, P4, /*Threads=*/4);
   ASSERT_EQ(FGang.size(), FVariants.size());
   for (size_t I = 0; I < FVariants.size(); ++I)
     expectEqualCounters(FLab.replay("gray", FVariants[I], P4), FGang[I],

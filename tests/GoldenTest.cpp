@@ -11,11 +11,11 @@
 /// overflows (the BTB sweep) and I-cache overflows (Figure 7's
 /// replicated variants on the Celeron's 16 KB I-cache).
 ///
-/// Shapes: {materialize, static, 1 thread} and {stream, dynamic, 2
-/// threads}, each without a trace cache (replay off the in-memory
-/// capture; a stream request then falls back to the materialized
-/// trace) and with one (the second run of a shape reloads or streams
-/// the trace files the first run saved).
+/// Shapes: {materialize, 1 thread} and {stream, 2 threads}, each
+/// without a trace cache (replay off the in-memory capture; a stream
+/// request then falls back to the materialized trace) and with one
+/// (the second run of a shape reloads or streams the trace files the
+/// first run saved).
 ///
 /// The reference files are read-only inputs, keyed exactly as the
 /// perfbench driver writes them:
@@ -85,7 +85,6 @@ std::map<std::string, uint64_t> loadReference(const std::string &Path) {
 
 struct Shape {
   TraceDecodeMode Decode;
-  GangSchedule Schedule;
   unsigned Threads;
 };
 
@@ -102,8 +101,8 @@ void expectGolden(const std::string &SpecName) {
   char CacheTemplate[] = "/tmp/vmib-golden-XXXXXX";
   ASSERT_NE(nullptr, ::mkdtemp(CacheTemplate));
   const Shape Shapes[] = {
-      {TraceDecodeMode::Materialize, GangSchedule::Static, 1},
-      {TraceDecodeMode::Stream, GangSchedule::Dynamic, 2},
+      {TraceDecodeMode::Materialize, 1},
+      {TraceDecodeMode::Stream, 2},
   };
   for (bool Cached : {false, true}) {
     if (Cached)
@@ -113,13 +112,11 @@ void expectGolden(const std::string &SpecName) {
     for (const Shape &Sh : Shapes) {
       SweepSpec Run = Spec;
       Run.Decode = Sh.Decode;
-      Run.Schedule = Sh.Schedule;
       Run.Threads = Sh.Threads;
-      std::string What =
-          format("%s decode=%s schedule=%s threads=%u cache=%s",
-                 SpecName.c_str(), traceDecodeModeId(Sh.Decode),
-                 gangScheduleId(Sh.Schedule), Sh.Threads,
-                 Cached ? "on" : "off");
+      std::string What = format("%s decode=%s threads=%u cache=%s",
+                                SpecName.c_str(),
+                                traceDecodeModeId(Sh.Decode), Sh.Threads,
+                                Cached ? "on" : "off");
       // A fresh executor per run: its labs hold no traces, so with the
       // cache on every run after the first goes through the files.
       SweepExecutor Executor;

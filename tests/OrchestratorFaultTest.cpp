@@ -16,7 +16,8 @@
 ///    the orchestrator still converges to bit-identical results on
 ///    both suites,
 ///  - the VMIB_FAULT grammar parses/rejects correctly and draws are
-///    deterministic.
+///    deterministic,
+///  - a malformed `--shards` count exits 1 with a diagnostic.
 ///
 /// Worker templates are tiny shell programs wrapping the real
 /// `sweep_driver --worker` sibling binary, so every failure is
@@ -48,7 +49,7 @@ namespace {
 /// The shell tail every template ends with: run the real worker.
 const char *WorkerExec =
     "exec {driver} --worker --spec={spec} --shards={shards} --job={job} "
-    "--threads={threads} --schedule={schedule} --attempt={attempt}";
+    "--threads={threads} --attempt={attempt}";
 
 SweepSpec faultForthSpec() {
   SweepSpec S;
@@ -376,8 +377,8 @@ TEST_F(OrchestratorFaultTest, WorkerSurvivesSigpipeAndFailsWithDiagnostic) {
     ::close(ErrPipe[0]);
     ::close(ErrPipe[1]);
     ::execl(Driver.c_str(), Driver.c_str(), "--worker", SpecArg.c_str(),
-            "--shards=2", "--job=0", "--threads=1", "--schedule=static",
-            "--attempt=0", (char *)nullptr);
+            "--shards=2", "--job=0", "--threads=1", "--attempt=0",
+            (char *)nullptr);
     ::_exit(127);
   }
   // The "orchestrator" dies: both ends of the worker's stdout close
@@ -398,6 +399,47 @@ TEST_F(OrchestratorFaultTest, WorkerSurvivesSigpipeAndFailsWithDiagnostic) {
   EXPECT_NE(WEXITSTATUS(Status), 0);
   EXPECT_NE(WEXITSTATUS(Status), 127) << "worker binary failed to exec";
   EXPECT_NE(Err.find("could not write results"), std::string::npos) << Err;
+}
+
+//===--- count flags are strict decimal -----------------------------------===//
+
+TEST_F(OrchestratorFaultTest, MalformedShardCountExitsWithDiagnostic) {
+  // `--shards=foo` once ran 1 shard, `010` ran 8 (octal) and `4x` ran
+  // 4: a typo'd fan-out must stop the sweep with a diagnostic instead.
+  // Exercised by direct fork/exec so the exit status is the driver's.
+  SweepSpec Spec = faultForthSpec();
+  std::string SpecArg = "--spec=" + writeSpec(Spec);
+  std::string Driver = defaultSweepDriverPath();
+  for (const char *Bad : {"--shards=foo", "--shards=010", "--shards=4x"}) {
+    int ErrPipe[2];
+    ASSERT_EQ(0, ::pipe(ErrPipe));
+    pid_t Pid = ::fork();
+    ASSERT_GE(Pid, 0);
+    if (Pid == 0) {
+      std::FILE *Null = std::fopen("/dev/null", "w");
+      if (Null)
+        ::dup2(::fileno(Null), 1);
+      ::dup2(ErrPipe[1], 2);
+      ::close(ErrPipe[0]);
+      ::close(ErrPipe[1]);
+      ::execl(Driver.c_str(), Driver.c_str(), SpecArg.c_str(), Bad,
+              (char *)nullptr);
+      ::_exit(127);
+    }
+    ::close(ErrPipe[1]);
+    std::string Err;
+    char Buf[512];
+    ssize_t N;
+    while ((N = ::read(ErrPipe[0], Buf, sizeof(Buf))) > 0)
+      Err.append(Buf, static_cast<size_t>(N));
+    ::close(ErrPipe[0]);
+    int Status = 0;
+    ASSERT_EQ(Pid, ::waitpid(Pid, &Status, 0));
+    ASSERT_TRUE(WIFEXITED(Status)) << Bad;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Bad;
+    EXPECT_NE(Err.find("bad --shards"), std::string::npos)
+        << Bad << ": " << Err;
+  }
 }
 
 //===--- store open failure degrades to a storeless run -------------------===//

@@ -217,9 +217,9 @@ TEST_F(ResultStoreTest, KeyCoversEveryConfigurationAxis) {
 }
 
 TEST_F(ResultStoreTest, KeyIgnoresCosmeticAndInvariantKnobs) {
-  // The variant display name is cosmetic; chunk size, thread count and
-  // gang schedule are bit-identity invariants — caching across them is
-  // the point of the store. None may shift a key.
+  // The variant display name and the inert schedule line are cosmetic;
+  // chunk size and thread count are bit-identity invariants — caching
+  // across them is the point of the store. None may shift a key.
   SweepSpec Spec = makeSpec();
   SweepSpec Tweaked = Spec;
   Tweaked.Variants[0].Name = "renamed";

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 using namespace vmib;
@@ -123,11 +125,46 @@ TEST(CommandLine, ParsesOptionsAndPositional) {
   const char *Argv[] = {"prog", "--alpha=3", "--flag", "pos1", "--name=x"};
   OptionParser P(5, Argv);
   EXPECT_TRUE(P.has("alpha"));
-  EXPECT_EQ(P.getInt("alpha", 0), 3);
+  uint64_t Alpha = 0;
+  EXPECT_TRUE(P.getCount("alpha", 0, Alpha));
+  EXPECT_EQ(Alpha, 3u);
   EXPECT_TRUE(P.has("flag"));
   EXPECT_EQ(P.get("flag"), "1");
   EXPECT_EQ(P.get("name"), "x");
   EXPECT_EQ(P.get("missing", "dflt"), "dflt");
   ASSERT_EQ(P.positional().size(), 1u);
   EXPECT_EQ(P.positional()[0], "pos1");
+}
+
+TEST(CommandLine, CountRejectsAnythingButPlainDecimal) {
+  const char *Argv[] = {"prog",
+                        "--zero=0",
+                        "--big=18446744073709551615",
+                        "--over=18446744073709551616",
+                        "--octal=010",
+                        "--hex=0x10",
+                        "--word=foo",
+                        "--tail=4x",
+                        "--neg=-1",
+                        "--plus=+1",
+                        "--space= 1",
+                        "--empty=",
+                        "--flag"};
+  OptionParser P(static_cast<int>(std::size(Argv)), Argv);
+  uint64_t V = 7;
+  EXPECT_TRUE(P.getCount("missing", 42, V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(P.getCount("zero", 42, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(P.getCount("big", 0, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  for (const char *Bad : {"over", "octal", "hex", "word", "tail", "neg",
+                          "plus", "space", "empty"}) {
+    V = 7;
+    EXPECT_FALSE(P.getCount(Bad, 0, V)) << Bad;
+    EXPECT_EQ(V, 7u) << Bad << ": out-param touched on reject";
+  }
+  // A bare flag reads as "1", the OptionParser's flag value.
+  EXPECT_TRUE(P.getCount("flag", 0, V));
+  EXPECT_EQ(V, 1u);
 }

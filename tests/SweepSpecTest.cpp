@@ -215,7 +215,7 @@ TEST(SweepSpec, ScheduleFieldCompatAndRoundTrip) {
   ASSERT_TRUE(parseSweepSpec(Legacy, P, Error)) << Error;
   EXPECT_EQ(P.Schedule, GangSchedule::Static);
 
-  // The dynamic scheduler round-trips exactly.
+  // The inert dynamic value still round-trips exactly.
   std::string Dynamic = Modern;
   Dynamic.replace(Pos, std::strlen("schedule static\n"),
                   "schedule dynamic\n");
@@ -422,11 +422,10 @@ TEST(SweepSpec, ShardedJavaSweepIsBitIdenticalToInProcess) {
 }
 
 TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
-  // The spec-level threads + schedule knobs: runAll and every shard
-  // slice replay their gangs on the shared-tile worker pool — static
-  // or cost-aware dynamic — bit-identical to the serial spec,
-  // including the two-level (shards x threads) shape and the
-  // auto-detected (threads 0) worker count.
+  // The spec-level threads knob: runAll and every shard slice replay
+  // their gangs on the shared-tile worker pool bit-identical to the
+  // serial spec, including the two-level (shards x threads) shape and
+  // the auto-detected (threads 0) worker count.
   for (bool Java : {false, true}) {
     SweepSpec Serial = Java ? javaRunSpec() : forthRunSpec();
     SweepExecutor Executor;
@@ -442,9 +441,9 @@ TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
     // 2 shards x 3 threads: slices of a threaded spec stay exact.
     expectCellsEqual(Reference, runSharded(Executor, Threaded, 2));
 
-    // The cost-aware dynamic scheduler (work-stealing member replay)
-    // must not move a single bit, in-process or sharded; the pool
-    // accounting must cover the work.
+    // A spec declaring the inert `schedule dynamic` line (the shape of
+    // the benchmark's specs) must still run bit-identically, in-process
+    // or sharded; the pool accounting must cover the work.
     SweepSpec Dynamic = Threaded;
     Dynamic.Schedule = GangSchedule::Dynamic;
     std::vector<PerfCounters> DynCells;

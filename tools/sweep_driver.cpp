@@ -12,11 +12,9 @@
 ///                --shards=N --job=I             gang slice, emit [result]
 ///                [--attempt=A]                  lines on stdout
 ///   sweep_driver --spec=F --verify --shards=N   run in-process serial,
-///                                               static-threaded and
-///                                               dynamic-threaded (when
-///                                               the threads knob is
-///                                               set), 1-worker and
-///                                               N-worker sharded;
+///                                               pooled (when the threads
+///                                               knob is set), 1-worker
+///                                               and N-worker sharded;
 ///                                               bit-compare all of them
 ///                                               and report wall-clock
 ///                                               scaling + the
@@ -39,14 +37,12 @@
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
 /// feeding N workers), bit-identical to the serial gang. N=0
-/// auto-detects the host's core count at executor level. --schedule
-/// overrides the spec's `schedule` field: `static` keeps fixed
-/// contiguous member slices, `dynamic` turns on the cost-aware
-/// work-stealing scheduler — same counters, faster wall-clock on
-/// mixed-cost gangs. Fan-out is
+/// auto-detects the host's core count at executor level. Fan-out is
 /// two-level — `--shards=S --threads=N` runs S worker processes × N
 /// intra-gang threads each, so a multi-core worker host uses its cores
-/// off one trace decode instead of S×N processes.
+/// off one trace decode instead of S×N processes. Count flags
+/// (`--shards`, `--job`, `--attempt`, `--threads`, ...) take plain
+/// decimal numbers; anything else exits 1 with a diagnostic.
 ///
 /// Fault tolerance (every orchestrating mode): a worker attempt that
 /// exits non-zero, hangs past `--job-timeout=MS` (SIGTERM, then
@@ -88,8 +84,8 @@
 ///
 /// Audit model (docs/simulation-pipeline.md, "Audit model"):
 /// `--audit=RATE` re-executes a deterministically-sampled subset of
-/// cells through a fully decorrelated execution shape (decode,
-/// schedule and thread count all flipped) and bit-compares. In
+/// cells through a fully decorrelated execution shape (decode mode and
+/// thread count both flipped) and bit-compares. In
 /// orchestrator mode the audits are dispatched like hedges — into idle
 /// worker slots, after the job queue drains — as `--audit-exec`
 /// workers (clean re-execution: VMIB_FAULT ignored, store off); in
@@ -240,9 +236,8 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
     // re-executed. Deliberately carries NONE of the summable [audit]
     // count tokens, so it stages zero everywhere.
     std::printf("[audit] sweep=%s job=%zu role=shaped-replay "
-                "shape=decode:%s,schedule:%s,threads:%u\n",
+                "shape=decode:%s,threads:%u\n",
                 Spec.Name.c_str(), JobIdx, traceDecodeModeId(Spec.Decode),
-                gangScheduleId(Spec.Schedule),
                 resolveGangThreads(Spec.Threads));
   } else if (Audit.enabled()) {
     // Worker self-audit: repair the slice BEFORE its rows go out, so
@@ -493,7 +488,6 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
   // has to reproduce bit for bit.
   SweepSpec Serial = Spec;
   Serial.Threads = 1;
-  Serial.Schedule = GangSchedule::Static;
   std::vector<PerfCounters> InProc;
   SweepRunStats InProcStats = Executor.runAll(Serial, 1, InProc);
   bench::emitTiming(Spec.Name + ":inproc", CaptureSeconds,
@@ -512,52 +506,37 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
     return true;
   };
 
-  // Scheduler invariance + measured intra-host scaling: the same gangs
-  // off the same cached traces, replayed on the shared-tile worker
-  // pool under BOTH schedulers. Counters must be bit-identical across
-  // {serial, static, dynamic}; the wall-clock ratios — including the
-  // static-vs-dynamic comparison and the dynamic pool's per-worker
-  // busy fractions and steal counts — land in the [timing] artifact.
+  // Thread-count invariance + measured intra-host scaling: the same
+  // gangs off the same cached traces, replayed on the shared-tile
+  // worker pool. Counters must be bit-identical across {serial,
+  // pooled}; the wall-clock ratio and the pool's per-worker busy
+  // fractions land in the [timing] artifact.
   unsigned GangThreads = resolveGangThreads(Spec.Threads);
   if (GangThreads > 1) {
-    SweepSpec Static = Spec;
-    Static.Threads = GangThreads;
-    Static.Schedule = GangSchedule::Static;
-    std::vector<PerfCounters> StaticCells;
-    SweepRunStats StaticStats = Executor.runAll(Static, 1, StaticCells);
+    SweepSpec Pooled = Spec;
+    Pooled.Threads = GangThreads;
+    std::vector<PerfCounters> PooledCells;
+    SweepRunStats PooledStats = Executor.runAll(Pooled, 1, PooledCells);
     bench::emitTiming(Spec.Name + format(":threads%u", GangThreads),
-                      StaticStats);
-    if (!Compare(StaticCells, "static threaded in-process"))
-      return 1;
-
-    SweepSpec Dynamic = Static;
-    Dynamic.Schedule = GangSchedule::Dynamic;
-    std::vector<PerfCounters> DynamicCells;
-    SweepRunStats DynamicStats = Executor.runAll(Dynamic, 1, DynamicCells);
-    bench::emitTiming(Spec.Name + format(":dynamic%u", GangThreads),
-                      DynamicStats);
-    if (!Compare(DynamicCells, "dynamic threaded in-process"))
+                      PooledStats);
+    if (!Compare(PooledCells, "threaded in-process"))
       return 1;
 
     std::printf("[timing] bench=%s:threadscaling threads=%u "
                 "wall_1thread_s=%.3f wall_%uthreads_s=%.3f scaling=%.2f\n",
                 Spec.Name.c_str(), GangThreads, InProcStats.ReplaySeconds,
-                GangThreads, StaticStats.ReplaySeconds,
-                StaticStats.ReplaySeconds > 0
-                    ? InProcStats.ReplaySeconds / StaticStats.ReplaySeconds
+                GangThreads, PooledStats.ReplaySeconds,
+                PooledStats.ReplaySeconds > 0
+                    ? InProcStats.ReplaySeconds / PooledStats.ReplaySeconds
                     : 0.0);
 
-    // The load-balance line: how evenly the dynamic pool kept its
-    // workers busy, how many members were stolen off slow workers, how
-    // much the overflow catch-ups replayed, and what the
-    // static-vs-dynamic schedule is worth in wall clock. Busy is a
-    // share of the gangs' own run() wall, not of the pipeline wall
-    // (which also spans capture and trace load).
-    const GangReplayer::Stats &Load = DynamicStats.Load;
-    uint64_t Steals = 0;
+    // The load-balance line: how evenly the pool's fixed member slices
+    // kept its workers busy and how much the overflow catch-ups
+    // replayed. Busy is a share of the gangs' own run() wall, not of
+    // the pipeline wall (which also spans capture and trace load).
+    const GangReplayer::Stats &Load = PooledStats.Load;
     std::string Busy, Waits;
     for (size_t W = 0; W < Load.Workers.size(); ++W) {
-      Steals += Load.Workers[W].MembersStolen;
       Busy += format("%s%.2f", W == 0 ? "" : ",",
                      Load.ReplayWallSeconds > 0
                          ? Load.Workers[W].BusySeconds /
@@ -566,21 +545,14 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
       Waits += format("%s%llu", W == 0 ? "" : ",",
                       (unsigned long long)Load.Workers[W].TilesWaited);
     }
-    std::printf("[timing] bench=%s:loadbalance threads=%u wall_static_s=%.3f "
-                "wall_dynamic_s=%.3f dynamic_speedup=%.2f steals=%llu "
-                "deferred=%llu catchup_events=%llu finish_s=%.3f busy=%s "
-                "waits=%s\n",
-                Spec.Name.c_str(), GangThreads, StaticStats.ReplaySeconds,
-                DynamicStats.ReplaySeconds,
-                DynamicStats.ReplaySeconds > 0
-                    ? StaticStats.ReplaySeconds / DynamicStats.ReplaySeconds
-                    : 0.0,
-                (unsigned long long)Steals,
+    std::printf("[timing] bench=%s:loadbalance threads=%u deferred=%llu "
+                "catchup_events=%llu finish_s=%.3f busy=%s waits=%s\n",
+                Spec.Name.c_str(), GangThreads,
                 (unsigned long long)Load.DeferredFinishes,
                 (unsigned long long)Load.CatchUpEvents, Load.FinishSeconds,
                 Busy.c_str(), Waits.c_str());
-    std::printf("verify: %zu cells bit-identical across {serial, static, "
-                "dynamic} x threads {1, %u} in-process execution\n",
+    std::printf("verify: %zu cells bit-identical across {serial, pooled} x "
+                "threads {1, %u} in-process execution\n",
                 InProc.size(), GangThreads);
   }
 
@@ -646,7 +618,6 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
       if (GangThreads > 1) {
         SweepSpec Thr = Run; // keeps the decode mode
         Thr.Threads = GangThreads;
-        Thr.Schedule = GangSchedule::Dynamic;
         std::vector<PerfCounters> ThrCells;
         Fresh.runAll(Thr, 1, ThrCells);
         if (!Compare(ThrCells, (Label + " threaded").c_str()))
@@ -741,7 +712,7 @@ int main(int argc, char **argv) {
                  "usage: sweep_driver --spec=FILE [--shards=N] [--worker "
                  "--job=I [--attempt=A] | --in-process | --verify | "
                  "--emit-spec] [--worker-cmd=TEMPLATE] "
-                 "[--threads=N (0 = auto)] [--schedule=static|dynamic] "
+                 "[--threads=N (0 = auto)] "
                  "[--retries=N] [--backoff-ms=MS] [--job-timeout=MS] "
                  "[--kill-grace=MS] [--hedge=K] [--partial-ok] "
                  "[--decode=materialize|stream|auto] "
@@ -762,12 +733,11 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  // --threads / --schedule override the spec's intra-gang knobs in
-  // every mode (the shared bench helper validates them like parsed
-  // fields; threads 0 = auto-detect at executor level). Orchestrated
-  // workers inherit the overrides through the {threads}/{schedule}
-  // command-template substitutions — they re-parse the spec FILE,
-  // which a CLI override never touched.
+  // --threads overrides the spec's intra-gang thread count in every
+  // mode (the shared bench helper validates it like a parsed field;
+  // 0 = auto-detect at executor level). Orchestrated workers inherit
+  // the override through the {threads} command-template substitution
+  // — they re-parse the spec FILE, which a CLI override never touched.
   int OverrideExit = 0;
   if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
     return OverrideExit;
@@ -800,10 +770,12 @@ int main(int argc, char **argv) {
   bool AuditExec = Opts.has("audit-exec");
   FaultOpts.Audit = Audit;
 
-  unsigned Shards =
-      static_cast<unsigned>(Opts.getInt("shards", 1) < 1
-                                ? 1
-                                : Opts.getInt("shards", 1));
+  uint64_t ShardCount, Job, Attempt;
+  if (!bench::countOption(Opts, "shards", 1, UINT32_MAX, ShardCount) ||
+      !bench::countOption(Opts, "job", 0, SIZE_MAX, Job) ||
+      !bench::countOption(Opts, "attempt", 0, UINT32_MAX, Attempt))
+    return 1;
+  unsigned Shards = static_cast<unsigned>(std::max<uint64_t>(ShardCount, 1));
 
   // Mark the trace cache in use for the whole sweep (a concurrent
   // --cache-gc then skips it rather than evicting traces out from
@@ -820,9 +792,8 @@ int main(int argc, char **argv) {
 
   int Exit = 0;
   if (Opts.has("worker")) {
-    Exit = runWorker(Spec, Shards,
-                     static_cast<size_t>(Opts.getInt("job", 0)),
-                     static_cast<unsigned>(Opts.getInt("attempt", 0)),
+    Exit = runWorker(Spec, Shards, static_cast<size_t>(Job),
+                     static_cast<unsigned>(Attempt),
                      StoreOn ? &Store : nullptr, Audit, AuditExec);
   } else if (Opts.has("verify")) {
     Exit = runVerify(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),

@@ -49,7 +49,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "usage: trace_synth --seed=S --events=N[k|m|g] "
                  "--entropy=0..100 [--out=PATH] "
-                 "[--emit-spec [--threads=N] [--schedule=static|dynamic]]\n"
+                 "[--emit-spec [--threads=N]]\n"
                  "       trace_synth --name=synth-markov-s<seed>-"
                  "n<events>[k|m|g]-e<entropy> [...]\n");
     return 2;
