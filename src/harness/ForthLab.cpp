@@ -372,6 +372,11 @@ void ForthLab::dropTrace(const std::string &Benchmark) {
   Traces.erase(Benchmark);
 }
 
+size_t ForthLab::residentTraces() {
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  return Traces.size();
+}
+
 TraceSource ForthLab::traceSource(const std::string &Benchmark,
                                   TraceDecodeMode Mode) {
   if (Mode == TraceDecodeMode::Auto)

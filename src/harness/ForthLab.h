@@ -112,22 +112,30 @@ public:
     return TrainingRuns.load(std::memory_order_relaxed);
   }
 
-  /// Populates the caches a parallel sweep will hit — the benchmark's
+  /// Populates the caches a replay of \p Benchmark will hit — its
   /// trace and the training profile behind every static-resource
-  /// selection; called serially by the bench capture phase so workers
-  /// never run a whole-workload interpretation under the cache lock.
+  /// selection. SweepExecutor::runSlice calls it only when a member
+  /// missed the result store, on the thread that then replays.
   /// (Per-config resource selections stay lazy; they are cheap once
   /// the profile exists.)
   /// \p Decode mirrors the sweep's decode mode: a streaming sweep
   /// only validates the trace cache file here (capturing/generating
   /// it if absent) instead of pinning the whole event arena in
   /// memory.
-  void warmup(const std::string &Benchmark, const CpuConfig &Cpu,
+  void warmup(const std::string &Benchmark,
               TraceDecodeMode Decode = TraceDecodeMode::Auto) {
-    (void)Cpu;
     (void)traceSource(Benchmark, Decode);
     (void)trainingProfile();
   }
+  /// The per-CPU form; the CPU does not change what is warmed.
+  void warmup(const std::string &Benchmark, const CpuConfig &,
+              TraceDecodeMode Decode = TraceDecodeMode::Auto) {
+    warmup(Benchmark, Decode);
+  }
+
+  /// Number of traces this lab holds materialized in memory (a
+  /// streaming sweep keeps this at zero). Thread-safe.
+  size_t residentTraces();
 
   /// Releases a cached trace (memory control in long sweeps). NOT safe
   /// while replays of \p Benchmark are in flight: they hold references

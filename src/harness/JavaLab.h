@@ -121,21 +121,30 @@ public:
   /// into the cached trace. Call only between sweep phases.
   void dropTrace(const std::string &Benchmark);
 
-  /// Populates the caches a parallel sweep will hit — the benchmark's
-  /// trace, the runtime-overhead basis, and the post-quickening static
-  /// profiles of the whole suite (every leave-one-out resource
-  /// selection interprets them otherwise); called serially by the
-  /// bench capture phase so workers never run a whole-workload
-  /// interpretation under the cache lock.
+  /// Number of traces this lab holds materialized in memory (a
+  /// streaming sweep keeps this at zero). Thread-safe.
+  size_t residentTraces();
+
+  /// Populates the caches a replay of \p Benchmark will hit — its
+  /// trace and the post-quickening static profiles of the whole suite
+  /// (every leave-one-out resource selection interprets them
+  /// otherwise). SweepExecutor::runSlice calls it only when a member
+  /// missed the result store, on the thread that then replays.
   /// \p Decode mirrors the sweep's decode mode: a streaming sweep
   /// only validates the trace cache file here (capturing it if
-  /// absent) instead of pinning the whole event arena in memory.
-  void warmup(const std::string &Benchmark, const CpuConfig &Cpu,
+  /// absent) instead of pinning the whole event arena in memory. The
+  /// runtime-overhead basis is not warmed: replayGang computes it
+  /// inside its gang.
+  void warmup(const std::string &Benchmark,
               TraceDecodeMode Decode = TraceDecodeMode::Auto) {
     (void)traceSource(Benchmark, Decode);
-    (void)plainInterpCycles(Benchmark, Cpu);
     for (const JavaBenchmark &B : javaSuite())
       (void)profileOf(B.Name);
+  }
+  /// The per-CPU form; the CPU no longer changes what is warmed.
+  void warmup(const std::string &Benchmark, const CpuConfig &,
+              TraceDecodeMode Decode = TraceDecodeMode::Auto) {
+    warmup(Benchmark, Decode);
   }
 
   /// Replays the cached trace under (Variant, Cpu) over a fresh program
@@ -153,32 +162,30 @@ public:
   /// variant, each member owning a fresh program copy whose recorded
   /// quickenings are re-applied at their exact event positions.
   /// Results are in variant order, bit-identical to replay() per cell
-  /// (runtime overhead included). Thread-safe. \p Threads > 1 replays
-  /// the gang on the shared-tile worker pool (each quickening member
-  /// has one owner, so results stay bit-identical for any thread
-  /// count); \p StatsOut receives the pool accounting when non-null.
+  /// (runtime overhead included). An uncached overhead basis is taken
+  /// from one hidden plain-threaded member of the same gang.
+  /// Thread-safe. \p Threads > 1 replays the gang on the shared-tile
+  /// worker pool (each quickening member has one owner, so results
+  /// stay bit-identical for any thread count); \p StatsOut receives
+  /// the pool accounting when non-null.
   std::vector<PerfCounters>
   replayGang(const std::string &Benchmark,
              const std::vector<VariantSpec> &Variants, const CpuConfig &Cpu,
              unsigned Threads = 1, GangReplayer::Stats *StatsOut = nullptr,
              TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
-  /// replayGang() without the runtime-system overhead cycles.
-  std::vector<PerfCounters>
-  replayGangNoOverhead(const std::string &Benchmark,
-                       const std::vector<VariantSpec> &Variants,
-                       const CpuConfig &Cpu, unsigned Threads = 1,
-                       GangReplayer::Stats *StatsOut = nullptr,
-                       TraceDecodeMode Decode = TraceDecodeMode::Auto);
-
 private:
   /// Post-quickening static profile of one benchmark (the state static
   /// selection sees: quick forms, §5.4).
   const SequenceProfile &profileOf(const std::string &Benchmark);
 
-  /// Interpreter-only cycles of the plain variant (overhead basis).
+  /// Interpreter-only cycles of the plain variant (overhead basis):
+  /// cached per (benchmark, CPU), computed by a serial replay when
+  /// replayGang has not already filled the cache.
   uint64_t plainInterpCycles(const std::string &Benchmark,
                              const CpuConfig &Cpu);
+  static std::string plainCycleKey(const std::string &Benchmark,
+                                   const CpuConfig &Cpu);
 
   PerfCounters runNoOverhead(const std::string &Benchmark,
                              const VariantSpec &Variant,

@@ -114,7 +114,7 @@ struct ResultStoreStats {
 };
 
 /// Thread-safe for concurrent probe/lookup/record/flush (an in-process
-/// sweep's pipeline workers share one store); open/close are the
+/// sweep's workload workers share one store); open/close are the
 /// caller's single-threaded bracket.
 class ResultStore {
 public:

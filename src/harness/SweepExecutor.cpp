@@ -9,10 +9,8 @@
 #include "uarch/CpuModel.h"
 #include "uarch/TwoLevelPredictor.h"
 
-#include <atomic>
 #include <cassert>
 #include <map>
-#include <mutex>
 #include <thread>
 
 using namespace vmib;
@@ -148,14 +146,17 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
                                                   size_t MemberEnd,
                                                   GangReplayer::Stats
                                                       *LoadOut,
-                                                  size_t *ComputedOut) {
+                                                  SliceRunStats *StatsOut) {
   assert(Workload < Spec.Benchmarks.size() &&
          MemberEnd <= Spec.membersPerWorkload() &&
          MemberBegin <= MemberEnd && "slice out of range");
+  const std::string &B = Spec.Benchmarks[Workload];
+  const bool Java = Spec.Suite == "java";
   std::vector<PerfCounters> Out(MemberEnd - MemberBegin);
   std::vector<size_t> Missing;
   std::vector<size_t> MissSlot;  ///< Out index of each missing member
   std::vector<StoreKey> MissKey; ///< store key of each missing member
+  double CaptureSeconds = 0;
   const bool UseStore = Store && Store->isOpen();
   if (UseStore) {
     // The store key needs the trace *content* hash. Peek it from the
@@ -164,12 +165,14 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
     // loaded anyway, and which a fully-hit slice only pays when its
     // trace file has vanished (re-capture reproduces the same content
     // hash, so the hits still apply).
-    const std::string &B = Spec.Benchmarks[Workload];
     uint64_t TraceHash = 0;
     if (!DispatchTrace::peekContentHash(
-            DispatchTrace::cachePathFor(Spec.Suite + "-" + B), TraceHash))
-      TraceHash = Spec.Suite == "java" ? java().trace(B).contentHash()
-                                       : forth().trace(B).contentHash();
+            DispatchTrace::cachePathFor(Spec.Suite + "-" + B), TraceHash)) {
+      WallTimer CaptureTimer;
+      TraceHash = Java ? java().trace(B).contentHash()
+                       : forth().trace(B).contentHash();
+      CaptureSeconds += CaptureTimer.seconds();
+    }
     for (size_t M = MemberBegin; M < MemberEnd; ++M) {
       StoreKey Key = cellStoreKey(Spec, M, TraceHash);
       PerfCounters C;
@@ -188,15 +191,33 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
       MissSlot.push_back(M - MemberBegin);
     }
   }
-  if (ComputedOut)
-    *ComputedOut = Missing.size();
-  if (Missing.empty())
+  if (Missing.empty()) {
+    if (StatsOut)
+      StatsOut->CaptureSeconds += CaptureSeconds;
     return Out;
+  }
+
+  // Capture only on a miss, and on the thread that replays it: the
+  // reference run, profile training and trace load all exist only to
+  // enable the replays below.
+  WallTimer CaptureTimer;
+  if (Java)
+    java().warmup(B, Spec.Decode);
+  else
+    forth().warmup(B, Spec.Decode);
+  CaptureSeconds += CaptureTimer.seconds();
+  if (StatsOut) {
+    StatsOut->CaptureSeconds += CaptureSeconds;
+    // Every replayed member rides the whole trace once. referenceSteps
+    // == trace events, and never materializes a streamed trace.
+    StatsOut->ReplayedEvents +=
+        (Java ? java().referenceSteps(B) : forth().referenceSteps(B)) *
+        Missing.size();
+  }
 
   std::vector<PerfCounters> Fresh =
-      Spec.Suite == "java"
-          ? runJavaSlice(Spec, Workload, Missing, LoadOut)
-          : runForthSlice(Spec, Workload, Missing, LoadOut);
+      Java ? runJavaSlice(Spec, Workload, Missing, LoadOut)
+           : runForthSlice(Spec, Workload, Missing, LoadOut);
   assert(Fresh.size() == Missing.size() && "slice runner covers its members");
   for (size_t K = 0; K < Missing.size(); ++K) {
     // Injected compute corruption lands here — after the replay, before
@@ -237,7 +258,7 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   if (Threads == 0)
     Threads = defaultSweepThreads();
   // Two-level thread budget: every gang spawns GangThreads replay
-  // workers of its own, so shrink the pipeline pool to keep the total
+  // workers of its own, so shrink the workload pool to keep the total
   // thread count roughly constant — otherwise --threads=4 on a 4-core
   // host would run ~cores × 5 busy threads and get slower, not faster.
   unsigned GangThreads = resolveGangThreads(Spec.Threads);
@@ -246,53 +267,30 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   size_t W = Spec.Benchmarks.size();
   size_t M = Spec.membersPerWorkload();
 
+  // The labs are created lazily and creating one is not thread-safe:
+  // make this suite's lab before the workload jobs share it.
+  if (Spec.Suite == "java")
+    (void)java();
+  else
+    (void)forth();
+
+  std::vector<std::vector<PerfCounters>> Rows(W);
+  std::vector<SliceRunStats> Slices(W);
+  std::vector<GangReplayer::Stats> Loads(W);
+  WallTimer Timer;
+  parallelFor(W, Threads, [&](size_t I) {
+    Rows[I] = runSlice(Spec, I, 0, M, &Loads[I], &Slices[I]);
+  });
   SweepRunStats Stats;
   Stats.Configs = Spec.numCells();
-  double CaptureBusy = 0; // producer thread only; no lock needed
-  std::atomic<uint64_t> Events{0};
-  std::mutex LoadMutex; // replay jobs may run on several pipeline workers
-  std::vector<std::vector<PerfCounters>> Rows(W);
+  Stats.ReplaySeconds = Timer.seconds();
+  for (size_t I = 0; I < W; ++I) {
+    Stats.CaptureSeconds += Slices[I].CaptureSeconds;
+    Stats.ReplayedEvents += Slices[I].ReplayedEvents;
+    Stats.Load.merge(Loads[I]);
+  }
 
-  WallTimer PipelineTimer;
-  pipelineSweep(
-      W, Threads,
-      [&](size_t I) {
-        WallTimer T;
-        const std::string &B = Spec.Benchmarks[I];
-        for (const std::string &CpuId : Spec.Cpus) {
-          CpuConfig Cpu;
-          if (!cpuConfigById(CpuId, Cpu))
-            continue;
-          // Per-CPU warmup: the Java runtime-overhead basis is a
-          // (benchmark, CPU) cache; the trace/profile warmups behind it
-          // are idempotent.
-          if (Spec.Suite == "java")
-            java().warmup(B, Cpu, Spec.Decode);
-          else
-            forth().warmup(B, Cpu, Spec.Decode);
-        }
-        CaptureBusy += T.seconds();
-      },
-      [&](size_t I) {
-        const std::string &B = Spec.Benchmarks[I];
-        // referenceSteps == trace events, and never materializes — a
-        // streaming sweep must not pin the event arena just to count.
-        uint64_t N = Spec.Suite == "java" ? java().referenceSteps(B)
-                                          : forth().referenceSteps(B);
-        GangReplayer::Stats GangLoad;
-        size_t Computed = 0;
-        Rows[I] = runSlice(Spec, I, 0, M, &GangLoad, &Computed);
-        // Every replayed member rides the whole trace once; cells the
-        // store served cost no replay and count nothing.
-        Events.fetch_add(N * Computed, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> Lock(LoadMutex);
-        Stats.Load.merge(GangLoad);
-      });
-  Stats.ReplaySeconds = PipelineTimer.seconds();
-  Stats.CaptureSeconds = CaptureBusy;
-  Stats.ReplayedEvents = Events.load();
-
-  // Audit after the pipeline has fully drained, one workload at a
+  // Audit after every workload job has finished, one workload at a
   // time: the Auditor is not thread-safe. Rows are repaired in place,
   // so the scatter below publishes the post-audit (authoritative)
   // cells.

@@ -4,13 +4,14 @@
 /// Executes `SweepSpec`s over the lab replay pipeline. The executor is
 /// the single implementation both execution modes share:
 ///
-///  - `runAll()` — the in-process path: trace-affine `pipelineSweep`
-///    over the workloads (capture of workload i+1 overlapped with the
-///    gang replay of workload i), one chunk-tiled gang per workload
-///    covering every (CPU × variant × predictor) member.
-///  - `runSlice()` — the shard-worker path: one workload's contiguous
-///    member range as a single gang (what a `sweep_driver --worker`
-///    process executes for its ShardJob).
+///  - `runAll()` — the in-process path: a trace-affine `parallelFor`
+///    over the workloads, one `runSlice` per workload covering every
+///    (CPU × variant × predictor) member as one chunk-tiled gang.
+///  - `runSlice()` — one workload's contiguous member range (also
+///    what a `sweep_driver --worker` process executes for its
+///    ShardJob). It serves what the result store holds, and only when
+///    a member misses does it capture (warm the lab) and replay the
+///    missing members — so a fully served sweep replays nothing.
 ///
 /// Both paths honor the spec's `Threads` knob: each gang replays on
 /// GangReplayer's shared-tile worker pool (fixed member slices) when
@@ -54,8 +55,8 @@ unsigned resolveGangThreads(unsigned SpecThreads);
 /// Wall-clock accounting of one sweep execution, in the units the
 /// standard [timing] line reports.
 struct SweepRunStats {
-  double CaptureSeconds = 0; ///< producer-thread busy time
-  double ReplaySeconds = 0;  ///< wall clock of the replay/pipeline stage
+  double CaptureSeconds = 0; ///< lab warmup time, summed over workloads
+  double ReplaySeconds = 0;  ///< wall clock of the whole workload loop
   uint64_t ReplayedEvents = 0;
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
@@ -65,10 +66,17 @@ struct SweepRunStats {
   GangReplayer::Stats Load;
 };
 
+/// Accounting of runSlice calls (each call adds to it).
+struct SliceRunStats {
+  double CaptureSeconds = 0;   ///< lab warmup; 0 when every member hit
+  uint64_t ReplayedEvents = 0; ///< trace events × members not served
+};
+
 class SweepExecutor {
 public:
   /// Borrow \p Forth / \p Java (may be null: created lazily on first
-  /// use for the relevant suite).
+  /// use for the relevant suite; creation is not thread-safe, so
+  /// runAll creates its suite's lab before spawning workload jobs).
   explicit SweepExecutor(ForthLab *Forth = nullptr, JavaLab *Java = nullptr)
       : ForthRef(Forth), JavaRef(Java) {}
 
@@ -88,7 +96,7 @@ public:
   void setFaultInjection(const FaultPlan &Plan) { Faults = Plan; }
 
   /// Attaches an Auditor (borrowed, may be null to detach): runAll
-  /// then audits each workload's row after the pipeline completes —
+  /// then audits each workload's row after every job completed —
   /// serially, one workload at a time — repairing rows in place before
   /// cells scatter.
   void setAuditor(Auditor *A) { Audit = A; }
@@ -103,18 +111,20 @@ public:
 
   /// Runs gang members [MemberBegin, MemberEnd) of workload \p Workload
   /// as one gang over the workload's trace; results in member order.
-  /// The gang replays on resolveGangThreads(Spec.Threads) workers;
-  /// \p LoadOut, when non-null, accumulates (merges) the gang's pool
-  /// accounting. \p ComputedOut, when non-null, receives
-  /// how many members were replayed rather than served from the store.
+  /// Members the result store holds are served; the lab is warmed
+  /// (trace captured or opened, profiles trained) only when at least
+  /// one member missed. The gang replays on
+  /// resolveGangThreads(Spec.Threads) workers; \p LoadOut, when
+  /// non-null, accumulates (merges) the gang's pool accounting, and
+  /// \p StatsOut the slice's capture time and replayed work.
   std::vector<PerfCounters> runSlice(const SweepSpec &Spec, size_t Workload,
                                      size_t MemberBegin, size_t MemberEnd,
                                      GangReplayer::Stats *LoadOut = nullptr,
-                                     size_t *ComputedOut = nullptr);
+                                     SliceRunStats *StatsOut = nullptr);
 
   /// The full in-process sweep: every cell, workload-major canonical
-  /// order, with capture overlapped via pipelineSweep. \p Threads == 0
-  /// uses defaultSweepThreads().
+  /// order, one runSlice per workload on \p Threads workload workers
+  /// (0 uses defaultSweepThreads()).
   SweepRunStats runAll(const SweepSpec &Spec, unsigned Threads,
                        std::vector<PerfCounters> &Cells);
 

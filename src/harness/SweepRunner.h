@@ -1,16 +1,13 @@
-//===- harness/SweepRunner.h - Capture/replay sweep pipeline ----*- C++ -*-===//
+//===- harness/SweepRunner.h - Workload-parallel sweep loop -----*- C++ -*-===//
 ///
 /// \file
 /// The workload-level thread layer of SweepExecutor::runAll. Sweep
-/// scheduling is *trace-affine*: one job per (workload,
-/// gang-of-configurations) pair, so a worker streams one trace and
-/// feeds every configuration riding it (GangReplayer) instead of
-/// interleaving unrelated event streams. pipelineSweep() overlaps the
-/// capture stage with replay: a dedicated producer thread interprets
-/// workload i+1 while the worker pool replays the gangs of workload i.
-/// Each job owns its layouts, predictors and counters, which is what
-/// makes this safe: the labs only share their mutex-guarded caches
-/// (traces, static resources).
+/// scheduling is *trace-affine*: one job per workload, so a worker
+/// captures (only when the result store misses) and then streams one
+/// trace, feeding every configuration riding it (GangReplayer) instead
+/// of interleaving unrelated event streams. Each job owns its layouts,
+/// predictors and counters, which is what makes this safe: the labs
+/// only share their mutex-guarded caches (traces, static resources).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,20 +23,12 @@ namespace vmib {
 /// if set (>=1), otherwise std::thread::hardware_concurrency (min 1).
 unsigned defaultSweepThreads();
 
-/// Two-stage capture/replay pipeline over \p N workloads: a dedicated
-/// producer thread runs Capture(0), ..., Capture(N-1) *in order*
-/// (whole-workload interpretation is serial per workload and fills the
-/// lab caches), while \p Threads workers run Replay(i) as soon as
-/// workload i's capture has completed — so workload i+1 is captured
-/// while workload i's gang replays, instead of a serial capture phase
-/// followed by a replay phase. Replay jobs are claimed through an
-/// atomic cursor (trace-affine: pass one gang per workload as the
-/// job). Blocks until every replay finished; the first exception from
-/// either stage is rethrown (replays of workloads whose capture failed
-/// are skipped).
-void pipelineSweep(size_t N, unsigned Threads,
-                   const std::function<void(size_t)> &Capture,
-                   const std::function<void(size_t)> &Replay);
+/// Runs Job(0), ..., Job(N-1) on \p Threads workers (at most N; the
+/// calling thread is one of them) that claim indices through an atomic
+/// cursor. Blocks until every job finished; the first exception thrown
+/// by any job is rethrown (the other jobs still run).
+void parallelFor(size_t N, unsigned Threads,
+                 const std::function<void(size_t)> &Job);
 
 } // namespace vmib
 

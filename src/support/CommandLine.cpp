@@ -2,6 +2,8 @@
 
 #include "support/CommandLine.h"
 
+#include <algorithm>
+
 using namespace vmib;
 
 OptionParser::OptionParser(int Argc, const char *const *Argv) {
@@ -51,4 +53,13 @@ bool OptionParser::getCount(const std::string &Name, uint64_t Default,
   }
   Out = N;
   return true;
+}
+
+std::string
+OptionParser::firstUnknown(std::initializer_list<const char *> Known) const {
+  for (const auto &Opt : Options)
+    if (std::none_of(Known.begin(), Known.end(),
+                     [&](const char *K) { return Opt.first == K; }))
+      return Opt.first;
+  return "";
 }

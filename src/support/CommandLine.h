@@ -11,6 +11,7 @@
 #define VMIB_SUPPORT_COMMANDLINE_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,6 +34,11 @@ public:
   /// of turning into 0, an octal number or a truncated prefix.
   bool getCount(const std::string &Name, uint64_t Default,
                 uint64_t &Out) const;
+
+  /// The first --flag whose name is not in \p Known, or "" when every
+  /// flag is known — so a tool can reject a removed or misspelled flag
+  /// instead of running as if it were absent.
+  std::string firstUnknown(std::initializer_list<const char *> Known) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
 

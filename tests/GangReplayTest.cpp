@@ -8,8 +8,8 @@
 /// sweeps (including overflows) and the quickening tier. Also
 /// covers the trace chunk cursor, binary trace serialization (save →
 /// load → replay round trip, hash rejection), the labs' serialized
-/// trace cache (VMIB_TRACE_CACHE) and the capture/replay pipeline
-/// stage.
+/// trace cache (VMIB_TRACE_CACHE) and the workload-parallel sweep
+/// loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -435,56 +435,30 @@ TEST(TraceSerialization, DecodeModeSelectsTheRequestedPath) {
   std::remove(Path.c_str());
 }
 
-TEST(PipelineSweep, OverlapsCaptureWithReplayInOrder) {
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr size_t N = 17;
-  std::vector<std::atomic<int>> Captured(N);
-  std::vector<std::atomic<int>> Replayed(N);
-  pipelineSweep(
-      N, 4,
-      [&](size_t I) {
-        // Captures run in order on one producer thread.
-        for (size_t J = 0; J < I; ++J)
-          EXPECT_EQ(Captured[J].load(), 1) << "capture order violated";
-        Captured[I].store(1);
-      },
-      [&](size_t I) {
-        // A replay only runs after its own capture completed.
-        EXPECT_EQ(Captured[I].load(), 1) << "replay before capture";
-        Replayed[I].fetch_add(1);
-      });
+  std::vector<std::atomic<int>> Ran(N);
+  parallelFor(N, 4, [&](size_t I) { Ran[I].fetch_add(1); });
   for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Replayed[I].load(), 1) << "index " << I;
+    EXPECT_EQ(Ran[I].load(), 1) << "index " << I;
 
   // Degenerate cases.
-  pipelineSweep(0, 4, [](size_t) { FAIL(); }, [](size_t) { FAIL(); });
+  parallelFor(0, 4, [](size_t) { FAIL(); });
   std::atomic<int> Solo{0};
-  pipelineSweep(3, 1, [](size_t) {}, [&](size_t) { Solo.fetch_add(1); });
+  parallelFor(3, 1, [&](size_t) { Solo.fetch_add(1); });
   EXPECT_EQ(Solo.load(), 3);
 }
 
-TEST(PipelineSweep, PropagatesExceptionsAndSkipsUncaptured) {
-  // Replay exception.
-  EXPECT_THROW(pipelineSweep(4, 2, [](size_t) {},
-                             [](size_t I) {
-                               if (I == 2)
-                                 throw std::runtime_error("replay failed");
-                             }),
-               std::runtime_error);
-
-  // Capture exception: replays of never-captured workloads are skipped.
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterEveryJobRan) {
   std::atomic<int> Ran{0};
-  EXPECT_THROW(pipelineSweep(
-                   6, 2,
-                   [](size_t I) {
-                     if (I == 1)
-                       throw std::runtime_error("capture failed");
-                   },
-                   [&](size_t I) {
-                     EXPECT_EQ(I, 0u) << "replayed an uncaptured workload";
-                     Ran.fetch_add(1);
-                   }),
+  EXPECT_THROW(parallelFor(6, 2,
+                           [&](size_t I) {
+                             Ran.fetch_add(1);
+                             if (I == 2)
+                               throw std::runtime_error("job failed");
+                           }),
                std::runtime_error);
-  EXPECT_EQ(Ran.load(), 1);
+  EXPECT_EQ(Ran.load(), 6);
 }
 
 TEST(GangReplay, DecodeFingerprintGroupsStructurallyEqualLayouts) {

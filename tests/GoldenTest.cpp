@@ -1,15 +1,17 @@
 //===- tests/GoldenTest.cpp - Cells against committed golden fingerprints -===//
 ///
 /// Pins the sweep pipeline against a fixed reference instead of only
-/// "path A equals path B": the BTB-geometry ablation and the Figure 7
-/// and Figure 8 sweeps run through SweepExecutor in several execution
+/// "path A equals path B": the BTB-geometry ablation and the Figure 7,
+/// 8 and 9 sweeps run through SweepExecutor in several execution
 /// shapes, and
 /// every cell's PerfCounters::fingerprint() must equal the value
 /// committed in perfbench/reference/<spec>.ref. A deletion or kernel
 /// rewrite that changes any counter of any cell fails here. Between
-/// them the three specs pin both overflow paths of the gang: BTB-only
+/// them the Forth specs pin both overflow paths of the gang: BTB-only
 /// overflows (the BTB sweep) and I-cache overflows (Figure 7's
-/// replicated variants on the Celeron's 16 KB I-cache).
+/// replicated variants on the Celeron's 16 KB I-cache). Figure 9 pins
+/// the Java quickening members and the runtime-overhead cycles every
+/// Java cell carries.
 ///
 /// Shapes: {materialize, 1 thread} and {stream, 2 threads}, each
 /// without a trace cache (replay off the in-memory capture; a stream
@@ -153,4 +155,10 @@ TEST(GoldenTest, Figure7SweepMatchesReference) {
 
 TEST(GoldenTest, Figure8SweepMatchesReference) {
   expectGolden("fig08_gforth_p4");
+}
+
+// Registered as its own ctest entry (see CMakeLists.txt) so it runs
+// beside the Forth goldens.
+TEST(GoldenTest, Figure9SweepMatchesReference) {
+  expectGolden("fig09_java_p4");
 }

@@ -17,7 +17,8 @@
 ///    both suites,
 ///  - the VMIB_FAULT grammar parses/rejects correctly and draws are
 ///    deterministic,
-///  - a malformed `--shards` count exits 1 with a diagnostic.
+///  - a malformed `--shards` count or an unknown flag exits 1 with a
+///    diagnostic.
 ///
 /// Worker templates are tiny shell programs wrapping the real
 /// `sweep_driver --worker` sibling binary, so every failure is
@@ -403,43 +404,80 @@ TEST_F(OrchestratorFaultTest, WorkerSurvivesSigpipeAndFailsWithDiagnostic) {
 
 //===--- count flags are strict decimal -----------------------------------===//
 
+namespace {
+
+/// Runs \p Tool, a binary beside sweep_driver, with \p Args by direct
+/// fork/exec (stdout discarded) so the exit status is the tool's own.
+/// \returns that status, or -1 when the tool did not exit normally;
+/// its stderr lands in \p Err.
+int execTool(const std::string &Tool, const std::vector<std::string> &Args,
+             std::string &Err) {
+  std::string Driver = defaultSweepDriverPath();
+  std::string Path = Driver.substr(0, Driver.rfind('/') + 1) + Tool;
+  std::vector<char *> Argv = {const_cast<char *>(Path.c_str())};
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  int ErrPipe[2];
+  if (::pipe(ErrPipe) != 0)
+    return -1;
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    std::FILE *Null = std::fopen("/dev/null", "w");
+    if (Null)
+      ::dup2(::fileno(Null), 1);
+    ::dup2(ErrPipe[1], 2);
+    ::close(ErrPipe[0]);
+    ::close(ErrPipe[1]);
+    ::execv(Path.c_str(), Argv.data());
+    ::_exit(127);
+  }
+  ::close(ErrPipe[1]);
+  char Buf[512];
+  ssize_t N;
+  while ((N = ::read(ErrPipe[0], Buf, sizeof(Buf))) > 0)
+    Err.append(Buf, static_cast<size_t>(N));
+  ::close(ErrPipe[0]);
+  int Status = 0;
+  if (Pid < 0 || ::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status))
+    return -1;
+  return WEXITSTATUS(Status);
+}
+
+} // namespace
+
 TEST_F(OrchestratorFaultTest, MalformedShardCountExitsWithDiagnostic) {
   // `--shards=foo` once ran 1 shard, `010` ran 8 (octal) and `4x` ran
   // 4: a typo'd fan-out must stop the sweep with a diagnostic instead.
-  // Exercised by direct fork/exec so the exit status is the driver's.
-  SweepSpec Spec = faultForthSpec();
-  std::string SpecArg = "--spec=" + writeSpec(Spec);
-  std::string Driver = defaultSweepDriverPath();
+  std::string SpecArg = "--spec=" + writeSpec(faultForthSpec());
   for (const char *Bad : {"--shards=foo", "--shards=010", "--shards=4x"}) {
-    int ErrPipe[2];
-    ASSERT_EQ(0, ::pipe(ErrPipe));
-    pid_t Pid = ::fork();
-    ASSERT_GE(Pid, 0);
-    if (Pid == 0) {
-      std::FILE *Null = std::fopen("/dev/null", "w");
-      if (Null)
-        ::dup2(::fileno(Null), 1);
-      ::dup2(ErrPipe[1], 2);
-      ::close(ErrPipe[0]);
-      ::close(ErrPipe[1]);
-      ::execl(Driver.c_str(), Driver.c_str(), SpecArg.c_str(), Bad,
-              (char *)nullptr);
-      ::_exit(127);
-    }
-    ::close(ErrPipe[1]);
     std::string Err;
-    char Buf[512];
-    ssize_t N;
-    while ((N = ::read(ErrPipe[0], Buf, sizeof(Buf))) > 0)
-      Err.append(Buf, static_cast<size_t>(N));
-    ::close(ErrPipe[0]);
-    int Status = 0;
-    ASSERT_EQ(Pid, ::waitpid(Pid, &Status, 0));
-    ASSERT_TRUE(WIFEXITED(Status)) << Bad;
-    EXPECT_EQ(WEXITSTATUS(Status), 1) << Bad;
+    EXPECT_EQ(1, execTool("sweep_driver", {SpecArg, Bad}, Err)) << Bad;
     EXPECT_NE(Err.find("bad --shards"), std::string::npos)
         << Bad << ": " << Err;
   }
+}
+
+TEST_F(OrchestratorFaultTest, UnknownFlagExitsWithDiagnostic) {
+  // A removed or misspelled flag used to be ignored: `--schedule=dynamic`
+  // (the deleted scheduler) ran the sweep as if it were absent.
+  std::string SpecArg = "--spec=" + writeSpec(faultForthSpec());
+  std::string Err;
+  EXPECT_EQ(1, execTool("sweep_driver",
+                        {SpecArg, "--in-process", "--schedule=dynamic"},
+                        Err));
+  EXPECT_NE(Err.find("unknown flag --schedule"), std::string::npos) << Err;
+  Err.clear();
+  EXPECT_EQ(1, execTool("trace_synth",
+                        {"--events=1k", "--emit-spec", "--schedule=dynamic"},
+                        Err));
+  EXPECT_NE(Err.find("unknown flag --schedule"), std::string::npos) << Err;
+  // The known flags still run.
+  Err.clear();
+  EXPECT_EQ(0, execTool("trace_synth", {"--events=1k", "--emit-spec",
+                                        "--threads=2"},
+                        Err))
+      << Err;
 }
 
 //===--- store open failure degrades to a storeless run -------------------===//

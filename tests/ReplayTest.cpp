@@ -308,8 +308,8 @@ TEST(ReplayEquivalence, ParallelSweepMatchesSerialReplays) {
     Serial.push_back(Lab.replay("cross", V, P4));
 
   // Concurrent replays share only the lab's mutex-guarded caches
-  // (pipelineSweep relies on this): four threads, strided over the
-  // variants.
+  // (SweepExecutor::runAll relies on this): four threads, strided over
+  // the variants.
   constexpr size_t Threads = 4;
   std::vector<PerfCounters> Parallel(Variants.size());
   std::vector<std::thread> Pool;

@@ -8,6 +8,9 @@
 ///  - [result] lines round-trip PerfCounters exactly,
 ///  - the ablation benches' specs equal the per-config lab oracle
 ///    (TraceReplayer) cell for cell,
+///  - a sweep the result store fully serves captures and replays
+///    nothing (a partially served one only its misses), and a streamed
+///    sweep leaves no trace materialized,
 ///  - corrupt trace-cache files fail to load with a diagnostic and no
 ///    partial state, and the cache directory is auto-created,
 ///  - concurrent cache writers (threads and processes) never expose a
@@ -465,6 +468,129 @@ TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
   }
 }
 
+//===--- capture only on a store miss -------------------------------------===//
+
+namespace {
+
+/// A scratch trace cache (VMIB_TRACE_CACHE) for one test's lifetime.
+class ScratchTraceCache {
+public:
+  ScratchTraceCache() {
+    EXPECT_NE(nullptr, ::mkdtemp(Dir));
+    ::setenv("VMIB_TRACE_CACHE", Dir, 1);
+  }
+  ~ScratchTraceCache() {
+    ::unsetenv("VMIB_TRACE_CACHE");
+    std::string Cleanup = "rm -rf " + std::string(Dir);
+    EXPECT_EQ(0, std::system(Cleanup.c_str()));
+  }
+  std::string path() const { return Dir; }
+
+private:
+  char Dir[32] = "/tmp/vmib-served-XXXXXX";
+};
+
+/// The run spec of a suite widened to its first four benchmarks, so a
+/// four-thread runAll has a workload job per thread.
+SweepSpec fourWorkloadSpec(bool Java) {
+  SweepSpec S = Java ? javaRunSpec() : forthRunSpec();
+  S.Benchmarks.clear();
+  for (size_t I = 0; I < 4; ++I)
+    S.Benchmarks.push_back(Java ? javaSuite()[I].Name : forthSuite()[I].Name);
+  return S;
+}
+
+} // namespace
+
+TEST(SweepSpec, FullyServedSweepCapturesAndReplaysNothing) {
+  ScratchTraceCache Cache;
+  for (bool Java : {false, true}) {
+    SCOPED_TRACE(Java ? "java" : "forth");
+    SweepSpec Spec = fourWorkloadSpec(Java);
+    ResultStore Store;
+    std::string Diag;
+    ASSERT_TRUE(Store.open(Cache.path() + "/results", &Diag)) << Diag;
+
+    std::vector<PerfCounters> Computed;
+    {
+      SweepExecutor Executor;
+      Executor.setResultStore(&Store);
+      SweepRunStats Stats = Executor.runAll(Spec, 4, Computed);
+      EXPECT_GT(Stats.CaptureSeconds, 0.0);
+      EXPECT_GT(Stats.ReplayedEvents, 0u);
+    }
+
+    // A fresh executor whose labs runAll creates lazily, four workload
+    // jobs on one lab: every cell is served, so nothing is captured,
+    // interpreted, trained, loaded or replayed.
+    SweepExecutor Served;
+    Served.setResultStore(&Store);
+    uint64_t Hits = Store.stats().Hits;
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats = Served.runAll(Spec, 4, Cells);
+    EXPECT_EQ(0.0, Stats.CaptureSeconds);
+    EXPECT_EQ(0u, Stats.ReplayedEvents);
+    EXPECT_EQ(Spec.numCells(), Store.stats().Hits - Hits);
+    if (Java) {
+      EXPECT_EQ(0u, Served.java().referenceRunsPerformed());
+      EXPECT_EQ(0u, Served.java().profileRunsPerformed());
+      EXPECT_EQ(0u, Served.java().residentTraces());
+    } else {
+      EXPECT_EQ(0u, Served.forth().referenceRunsPerformed());
+      EXPECT_EQ(0u, Served.forth().trainingRunsPerformed());
+      EXPECT_EQ(0u, Served.forth().residentTraces());
+    }
+    expectCellsEqual(Computed, Cells);
+
+    // One more variant misses on every workload: those workloads
+    // capture again and replay only the missing members.
+    SweepSpec Wider = Spec;
+    Wider.Variants.push_back(makeVariant(DispatchStrategy::StaticSuper));
+    size_t Extra = Wider.membersPerWorkload() - Spec.membersPerWorkload();
+    std::vector<PerfCounters> Reference;
+    SweepExecutor().runAll(Wider, 1, Reference);
+    SweepExecutor Partial;
+    Partial.setResultStore(&Store);
+    Hits = Store.stats().Hits;
+    uint64_t Misses = Store.stats().Misses;
+    std::vector<PerfCounters> Mixed;
+    Stats = Partial.runAll(Wider, 4, Mixed);
+    EXPECT_GT(Stats.CaptureSeconds, 0.0);
+    uint64_t Events = 0;
+    for (const std::string &B : Wider.Benchmarks)
+      Events += (Java ? Partial.java().referenceSteps(B)
+                      : Partial.forth().referenceSteps(B)) *
+                Extra;
+    EXPECT_EQ(Events, Stats.ReplayedEvents);
+    EXPECT_EQ(Spec.numCells(), Store.stats().Hits - Hits);
+    EXPECT_EQ(Wider.Benchmarks.size() * Extra,
+              Store.stats().Misses - Misses);
+    expectCellsEqual(Reference, Mixed);
+  }
+}
+
+TEST(SweepSpec, StreamedSweepMaterializesNoTrace) {
+  // A streamed sweep off cached trace files replays in O(tile) memory:
+  // neither lab may pin a decoded trace — including the Java
+  // runtime-overhead basis, which comes out of the gang.
+  ScratchTraceCache Cache;
+  for (bool Java : {false, true}) {
+    SCOPED_TRACE(Java ? "java" : "forth");
+    SweepSpec Spec = Java ? javaRunSpec() : forthRunSpec();
+    std::vector<PerfCounters> Reference;
+    SweepExecutor().runAll(Spec, 1, Reference); // captures the files
+    SweepSpec Streamed = Spec;
+    Streamed.Decode = TraceDecodeMode::Stream;
+    SweepExecutor Executor;
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats = Executor.runAll(Streamed, 1, Cells);
+    EXPECT_TRUE(Stats.Load.StreamedDecode);
+    EXPECT_EQ(0u, Java ? Executor.java().residentTraces()
+                       : Executor.forth().residentTraces());
+    expectCellsEqual(Reference, Cells);
+  }
+}
+
 //===--- bench specs vs the per-config lab oracle -------------------------===//
 
 namespace {
@@ -722,14 +848,9 @@ TEST_F(TraceFileTest, ConcurrentWritersNeverExposePartialFiles) {
   std::atomic<bool> Stop{false};
   std::atomic<int> WriteFailures{0};
 
-  std::vector<std::thread> Writers;
-  for (int W = 0; W < WriterThreads; ++W)
-    Writers.emplace_back([&] {
-      for (int I = 0; I < SavesPerWriter; ++I)
-        if (!Trace.save(Path, 0x1234))
-          WriteFailures.fetch_add(1);
-    });
-
+  // Fork the writer processes before any thread exists: a child forked
+  // while a writer thread holds an allocator or stdio lock can block on
+  // it forever.
   std::vector<pid_t> Children;
   for (int P = 0; P < WriterProcesses; ++P) {
     pid_t Pid = ::fork();
@@ -744,6 +865,14 @@ TEST_F(TraceFileTest, ConcurrentWritersNeverExposePartialFiles) {
     }
     Children.push_back(Pid);
   }
+
+  std::vector<std::thread> Writers;
+  for (int W = 0; W < WriterThreads; ++W)
+    Writers.emplace_back([&] {
+      for (int I = 0; I < SavesPerWriter; ++I)
+        if (!Trace.save(Path, 0x1234))
+          WriteFailures.fetch_add(1);
+    });
 
   // Reader: every load during the storm must round-trip a COMPLETE
   // trace — rename atomicity means there is no moment where the

@@ -42,7 +42,8 @@
 /// intra-gang threads each, so a multi-core worker host uses its cores
 /// off one trace decode instead of S×N processes. Count flags
 /// (`--shards`, `--job`, `--attempt`, `--threads`, ...) take plain
-/// decimal numbers; anything else exits 1 with a diagnostic.
+/// decimal numbers; anything else exits 1 with a diagnostic, and so
+/// does any flag this driver does not know.
 ///
 /// Fault tolerance (every orchestrating mode): a worker attempt that
 /// exits non-zero, hangs past `--job-timeout=MS` (SIGTERM, then
@@ -169,67 +170,20 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
   }
 
   const ShardJob &Job = Jobs[JobIdx];
-  const std::string &Benchmark = Spec.Benchmarks[Job.Workload];
   SweepExecutor Executor;
   Executor.setResultStore(Store);
   Executor.setFaultInjection(Plan); // flipcounter mass; zero for audit-exec
 
-  // Store fast path: when the trace is cached (content hash peekable
-  // from the file header, no decode) and EVERY member of the job is
-  // already durable, serve the whole slice without paying warmup — the
-  // reference run, profile training and trace load all exist only to
-  // enable replays this job will not perform.
-  std::vector<PerfCounters> Slice;
-  double CaptureSeconds = 0;
-  uint64_t Events = 0;
-  bool Served = false;
+  // A job whose every member is durable in the store is served without
+  // warming the lab: runSlice captures only on a miss.
   WallTimer ReplayTimer;
-  if (Store && Store->isOpen()) {
-    uint64_t TraceHash = 0;
-    if (DispatchTrace::peekContentHash(
-            DispatchTrace::cachePathFor(Spec.Suite + "-" + Benchmark),
-            TraceHash)) {
-      PerfCounters C;
-      bool AllHit = true;
-      for (size_t M = Job.MemberBegin; AllHit && M < Job.MemberEnd; ++M)
-        AllHit = Store->probe(cellStoreKey(Spec, M, TraceHash), C);
-      if (AllHit) {
-        // Second pass through lookup() so the served cells land in the
-        // hit accounting the [store] line below reports (probe() is
-        // deliberately uncounted).
-        Slice.reserve(Job.MemberEnd - Job.MemberBegin);
-        for (size_t M = Job.MemberBegin; M < Job.MemberEnd; ++M) {
-          (void)Store->lookup(cellStoreKey(Spec, M, TraceHash), C);
-          Slice.push_back(C);
-        }
-        Served = true;
-      }
-    }
-  }
-  if (!Served) {
-    WallTimer CaptureTimer;
-    for (const std::string &CpuId : Spec.Cpus) {
-      CpuConfig Cpu;
-      if (!cpuConfigById(CpuId, Cpu))
-        continue;
-      if (Spec.Suite == "java")
-        Executor.java().warmup(Benchmark, Cpu, Spec.Decode);
-      else
-        Executor.forth().warmup(Benchmark, Cpu, Spec.Decode);
-    }
-    CaptureSeconds = CaptureTimer.seconds();
-    // referenceSteps == trace events without materializing the event
-    // arena — a streaming worker stays O(tile).
-    Events = Spec.Suite == "java"
-                 ? Executor.java().referenceSteps(Benchmark)
-                 : Executor.forth().referenceSteps(Benchmark);
-    size_t Computed = 0;
-    Slice = Executor.runSlice(Spec, Job.Workload, Job.MemberBegin,
-                              Job.MemberEnd, nullptr, &Computed);
-    Events *= Computed; // store-served cells replay nothing
-  }
-  bench::emitTiming(Spec.Name + format(":job%zu", JobIdx), CaptureSeconds,
-                    ReplayTimer.seconds(), Events, Slice.size());
+  SliceRunStats SliceStats;
+  std::vector<PerfCounters> Slice = Executor.runSlice(
+      Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd, nullptr,
+      &SliceStats);
+  bench::emitTiming(Spec.Name + format(":job%zu", JobIdx),
+                    SliceStats.CaptureSeconds, ReplayTimer.seconds(),
+                    SliceStats.ReplayedEvents, Slice.size());
 
   if (AuditExec) {
     // Banner for the orchestrator's logs: which shape this shard
@@ -470,19 +424,14 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
   SweepExecutor Executor;
   WallTimer CaptureTimer;
   for (const std::string &Benchmark : Spec.Benchmarks)
-    for (const std::string &CpuId : Spec.Cpus) {
-      CpuConfig Cpu;
-      if (!cpuConfigById(CpuId, Cpu))
-        continue;
-      if (Spec.Suite == "java")
-        Executor.java().warmup(Benchmark, Cpu);
-      else
-        Executor.forth().warmup(Benchmark, Cpu);
-    }
+    if (Spec.Suite == "java")
+      Executor.java().warmup(Benchmark);
+    else
+      Executor.forth().warmup(Benchmark);
   double CaptureSeconds = CaptureTimer.seconds();
 
-  // In-process serial reference sweep (threads=1, one pipeline worker:
-  // the scaling number must compare thread pools, not pipeline luck).
+  // In-process serial reference sweep (threads=1, one workload worker:
+  // the scaling number must compare thread pools, not workload luck).
   // VMIB_FAULT never touches this path — with chaos injected into the
   // workers below, this run stays the ground truth the faulted fan-out
   // has to reproduce bit for bit.
@@ -533,7 +482,7 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
     // The load-balance line: how evenly the pool's fixed member slices
     // kept its workers busy and how much the overflow catch-ups
     // replayed. Busy is a share of the gangs' own run() wall, not of
-    // the pipeline wall (which also spans capture and trace load).
+    // the sweep wall (which also spans capture and trace load).
     const GangReplayer::Stats &Load = PooledStats.Load;
     std::string Busy, Waits;
     for (size_t W = 0; W < Load.Workers.size(); ++W) {
@@ -703,6 +652,16 @@ int main(int argc, char **argv) {
   // nonzero on. Harmless for every other mode.
   std::signal(SIGPIPE, SIG_IGN);
   OptionParser Opts(argc, argv);
+  std::string Unknown = Opts.firstUnknown(
+      {"spec", "shards", "worker", "job", "attempt", "in-process", "verify",
+       "emit-spec", "worker-cmd", "threads", "decode", "retries",
+       "backoff-ms", "job-timeout", "kill-grace", "hedge", "partial-ok",
+       "result-store", "store-dir", "no-result-store", "audit",
+       "audit-seed", "audit-exec", "report-json", "cache-gc"});
+  if (!Unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", Unknown.c_str());
+    return 1;
+  }
   std::string SpecPath = Opts.get("spec");
   if (SpecPath.empty()) {
     if (Opts.has("cache-gc"))

@@ -11,6 +11,9 @@
 ///               canonical benchmark name
 ///   trace_synth ... --emit-spec    print a ready-to-run sweep spec for
 ///               the workload (the CI smoke input) instead of generating
+///               (--threads=N and --decode=MODE override its fields)
+///
+/// An unknown flag exits 1 with a diagnostic.
 ///
 /// Generation is O(events) with no interpreter state, so this is how
 /// multi-hundred-million-event decode/replay-bandwidth inputs are made:
@@ -34,6 +37,13 @@ using namespace vmib;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
+  std::string Unknown = Opts.firstUnknown(
+      {"name", "seed", "events", "entropy", "out", "emit-spec", "threads",
+       "decode"});
+  if (!Unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", Unknown.c_str());
+    return 1;
+  }
 
   // Both flag styles funnel through the one name grammar, so the
   // validation (suffix scaling, entropy range, overflow) lives in
