@@ -164,7 +164,8 @@ void emitGangLoadLine(unsigned Threads, const GangReplayer::Stats &St) {
 
 void BM_GangReplayMixedThreaded(benchmark::State &State) {
   // A deliberately mixed-cost gang — full members on two layouts (the
-  // switch one a fused singleton), a tiny-BTB member that overflows
+  // switch one a decode group of one, decoded by the worker that owns
+  // it), a tiny-BTB member that overflows
   // and catches up onto the exact BTB, and four cheap-to-moderate
   // predictor-only members — on a 4-worker pool of fixed member
   // slices; the busy/wait histogram shows how evenly they split.

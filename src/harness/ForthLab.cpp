@@ -2,6 +2,7 @@
 
 #include "harness/ForthLab.h"
 
+#include "harness/LabTraceSource.h"
 #include "harness/WorkloadCache.h"
 #include "support/Format.h"
 #include "vmcore/DispatchSim.h"
@@ -286,6 +287,15 @@ const DispatchTrace &ForthLab::trace(const std::string &Benchmark) {
                    Diag.c_str());
   }
 
+  DispatchTrace T = captureTrace(Benchmark);
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  return Traces.emplace(Benchmark, std::move(T)).first->second;
+}
+
+DispatchTrace ForthLab::captureTrace(const std::string &Benchmark) {
+  uint64_t WorkloadHash = referenceHash(Benchmark);
+  std::string CachePath = DispatchTrace::cachePathFor("forth-" + Benchmark);
+
   // Synthetic workloads are generated, never interpreted: O(events)
   // with no VM state, so a multi-hundred-million-event trace costs
   // about as much as reading one. Still outside the lock (generation
@@ -303,14 +313,14 @@ const DispatchTrace &ForthLab::trace(const std::string &Benchmark) {
     generateSynthTrace(Params, SynthUnit.Program, T);
     if (!CachePath.empty())
       (void)T.save(CachePath, WorkloadHash); // best-effort
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    return Traces.emplace(Benchmark, std::move(T)).first->second;
+    return T;
   }
 
   // Capture outside the lock: this interprets the whole workload, and
   // holding the lab-wide mutex through it would serialize every other
   // sweep worker. Concurrent first captures of the same benchmark just
-  // race to the emplace; the loser's trace is discarded.
+  // race to the emplace (or the file rename); the loser's trace is
+  // discarded.
   const ForthUnit &Unit = unit(Benchmark);
   DispatchTrace T;
   // One event per step: the reference run already told us the size.
@@ -363,8 +373,7 @@ const DispatchTrace &ForthLab::trace(const std::string &Benchmark) {
   }
   if (!CachePath.empty())
     (void)T.save(CachePath, WorkloadHash); // best-effort
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Traces.emplace(Benchmark, std::move(T)).first->second;
+  return T;
 }
 
 void ForthLab::dropTrace(const std::string &Benchmark) {
@@ -379,50 +388,7 @@ size_t ForthLab::residentTraces() {
 
 TraceSource ForthLab::traceSource(const std::string &Benchmark,
                                   TraceDecodeMode Mode) {
-  if (Mode == TraceDecodeMode::Auto)
-    Mode = traceDecodeMode(); // the VMIB_TRACE_DECODE override
-  if (Mode != TraceDecodeMode::Stream) {
-    // A trace this lab already materialized is free to borrow —
-    // re-decoding it from disk would only add I/O.
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Traces.find(Benchmark);
-    if (It != Traces.end())
-      return TraceSource(It->second);
-  }
-  // Materialize (explicit, or Auto within the decode budget) pins the
-  // whole event arena.
-  if (Mode == TraceDecodeMode::Materialize ||
-      (Mode == TraceDecodeMode::Auto &&
-       referenceSteps(Benchmark) * sizeof(DispatchTrace::Event) <=
-           traceDecodeBudgetBytes()))
-    return TraceSource(trace(Benchmark));
-  // Stream (explicit, or Auto over budget): needs a validated trace
-  // cache file. referenceSteps above never materializes, so a
-  // billion-event workload reaches this point with O(1) memory.
-  std::string CachePath = DispatchTrace::cachePathFor("forth-" + Benchmark);
-  if (!CachePath.empty()) {
-    TraceSource S;
-    std::string Diag;
-    if (TraceSource::openStreaming(CachePath, referenceHash(Benchmark), S,
-                                   &Diag))
-      return S;
-    if (Diag.find("cannot open") == std::string::npos)
-      std::fprintf(stderr, "warning: ignoring trace cache entry: %s\n",
-                   Diag.c_str());
-  }
-  // No streamable file: materialize (capturing/generating saves the
-  // file back to the cache best-effort), then retry the stream open so
-  // explicitly streaming callers still replay O(tile) next time. This
-  // pass keeps the materialized trace — failing a replay over a
-  // missing optimization would be worse than the one-time footprint.
-  const DispatchTrace &T = trace(Benchmark);
-  if (Mode == TraceDecodeMode::Stream)
-    std::fprintf(stderr,
-                 "warning: %s: no streamable trace cache file "
-                 "(VMIB_TRACE_CACHE unset or save failed); replaying "
-                 "materialized\n",
-                 Benchmark.c_str());
-  return TraceSource(T);
+  return labTraceSource(*this, Benchmark, "forth-" + Benchmark, Mode);
 }
 
 PerfCounters ForthLab::replay(const std::string &Benchmark,

@@ -81,11 +81,12 @@ public:
   /// in-memory trace (zero-copy tiles) or a validated streaming view
   /// of the benchmark's trace cache file (O(tile) working memory).
   /// Auto consults VMIB_TRACE_DECODE, then streams only when the
-  /// decoded footprint exceeds the decode budget AND a valid cache
-  /// file exists. An explicit Stream request with no streamable file
-  /// falls back to materializing with a warning — replay never fails
-  /// over a missing optimization. Counters are bit-identical either
-  /// way. Thread-safe.
+  /// decoded footprint exceeds the decode budget. A stream with no
+  /// cache file yet captures the trace, saves it and streams the saved
+  /// file without keeping the capture resident; only when the file
+  /// cannot be written does an explicit Stream request fall back to
+  /// materializing with a warning — replay never fails over a missing
+  /// optimization. Counters are bit-identical either way. Thread-safe.
   TraceSource traceSource(const std::string &Benchmark,
                           TraceDecodeMode Mode = TraceDecodeMode::Auto);
 
@@ -201,6 +202,15 @@ public:
                                                const VariantSpec &Variant);
 
 private:
+  template <class LabT>
+  friend TraceSource labTraceSource(LabT &, const std::string &,
+                                    const std::string &, TraceDecodeMode);
+
+  /// Captures (or, for a synthetic workload, generates) the trace of
+  /// \p Benchmark, hash-verified, and saves it to the trace cache
+  /// best-effort. The caller decides whether it stays resident.
+  DispatchTrace captureTrace(const std::string &Benchmark);
+
   /// Compiles + reference-runs \p Benchmark if not cached yet (fatal
   /// on an unknown name or a failing reference run, like the old eager
   /// constructor). A valid meta sidecar stands in for the reference

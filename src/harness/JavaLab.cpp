@@ -2,6 +2,7 @@
 
 #include "harness/JavaLab.h"
 
+#include "harness/LabTraceSource.h"
 #include "harness/WorkloadCache.h"
 #include "support/Format.h"
 #include "vmcore/DispatchSim.h"
@@ -317,10 +318,20 @@ const DispatchTrace &JavaLab::trace(const std::string &Benchmark) {
                    Diag.c_str());
   }
 
+  DispatchTrace T = captureTrace(Benchmark);
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  return Traces.emplace(Benchmark, std::move(T)).first->second;
+}
+
+DispatchTrace JavaLab::captureTrace(const std::string &Benchmark) {
+  uint64_t WorkloadHash = referenceHash(Benchmark);
+  std::string CachePath = DispatchTrace::cachePathFor("java-" + Benchmark);
+
   // Capture on a scratch copy: quickening mutates the program, and the
   // rewrites are recorded in the trace for replays to re-apply. Runs
   // outside the lock (a whole-workload interpretation); concurrent
-  // first captures race to the emplace and the loser is discarded.
+  // first captures race to the emplace (or the file rename) and the
+  // loser is discarded.
   JavaProgram Copy = program(Benchmark);
   DispatchTrace T;
   // One event per step: the reference run already told us the size.
@@ -370,8 +381,7 @@ const DispatchTrace &JavaLab::trace(const std::string &Benchmark) {
   }
   if (!CachePath.empty())
     (void)T.save(CachePath, WorkloadHash); // best-effort
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Traces.emplace(Benchmark, std::move(T)).first->second;
+  return T;
 }
 
 void JavaLab::dropTrace(const std::string &Benchmark) {
@@ -386,45 +396,7 @@ size_t JavaLab::residentTraces() {
 
 TraceSource JavaLab::traceSource(const std::string &Benchmark,
                                  TraceDecodeMode Mode) {
-  if (Mode == TraceDecodeMode::Auto)
-    Mode = traceDecodeMode(); // the VMIB_TRACE_DECODE override
-  if (Mode != TraceDecodeMode::Stream) {
-    // Already materialized? Borrowing it is free, so streaming only to
-    // save memory that is already spent would be pure loss.
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Traces.find(Benchmark);
-    if (It != Traces.end())
-      return TraceSource(It->second);
-  }
-  // Materialize (explicit, or Auto within the decode budget) pins the
-  // whole event arena.
-  if (Mode == TraceDecodeMode::Materialize ||
-      (Mode == TraceDecodeMode::Auto &&
-       referenceSteps(Benchmark) * sizeof(DispatchTrace::Event) <=
-           traceDecodeBudgetBytes()))
-    return TraceSource(trace(Benchmark));
-  // Stream from the cache file, capturing it first if absent: trace()
-  // saves to the same path, so one capture makes the file streamable
-  // for every later call.
-  std::string CachePath = DispatchTrace::cachePathFor("java-" + Benchmark);
-  if (!CachePath.empty()) {
-    TraceSource S;
-    std::string Diag;
-    if (TraceSource::openStreaming(CachePath, referenceHash(Benchmark), S,
-                                   &Diag))
-      return S;
-    if (Diag.find("cannot open") == std::string::npos)
-      std::fprintf(stderr, "warning: ignoring trace cache entry: %s\n",
-                   Diag.c_str());
-  }
-  const DispatchTrace &T = trace(Benchmark);
-  if (Mode == TraceDecodeMode::Stream)
-    std::fprintf(stderr,
-                 "warning: %s: no streamable trace cache file "
-                 "(VMIB_TRACE_CACHE unset or save failed); replaying "
-                 "materialized\n",
-                 Benchmark.c_str());
-  return TraceSource(T);
+  return labTraceSource(*this, Benchmark, "java-" + Benchmark, Mode);
 }
 
 PerfCounters JavaLab::replay(const std::string &Benchmark,
@@ -452,16 +424,23 @@ JavaLab::replayGang(const std::string &Benchmark,
                     const CpuConfig &Cpu, unsigned Threads,
                     GangReplayer::Stats *StatsOut, TraceDecodeMode Decode) {
   // The runtime-overhead basis is the plain-threaded variant's cycles.
-  // When it is not cached yet it rides this gang as one hidden last
-  // member (sharing the gang's tile decode) instead of costing a
-  // separate serial replay that would also materialize a streamed
-  // trace.
+  // When it is not cached yet it comes out of this gang instead of a
+  // separate serial replay (which would also materialize a streamed
+  // trace): from the first requested variant that builds the basis
+  // layout — every paper spec carries one, `plain` — or else from one
+  // hidden last member.
   std::string Key = plainCycleKey(Benchmark, Cpu);
   bool NeedBasis;
   {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     NeedBasis = PlainCycleCache.count(Key) == 0;
   }
+  const VariantSpec BasisVariant = makeVariant(DispatchStrategy::Threaded);
+  size_t BasisIdx = 0;
+  while (BasisIdx < Variants.size() &&
+         !sameRecipe(Variants[BasisIdx], BasisVariant))
+    ++BasisIdx;
+  const bool HiddenBasis = NeedBasis && BasisIdx == Variants.size();
   GangReplayer Gang(traceSource(Benchmark, Decode));
   auto AddMember = [&](const VariantSpec &V) {
     // Each member owns its fresh program copy; the layout is built
@@ -472,14 +451,15 @@ JavaLab::replayGang(const std::string &Benchmark,
   };
   for (const VariantSpec &V : Variants)
     AddMember(V);
-  if (NeedBasis)
-    AddMember(makeVariant(DispatchStrategy::Threaded));
+  if (HiddenBasis)
+    AddMember(BasisVariant);
   std::vector<PerfCounters> Results = Gang.run(Threads, StatsOut);
   if (NeedBasis) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
-    PlainCycleCache.emplace(Key, Results.back().Cycles);
-    Results.pop_back();
+    PlainCycleCache.emplace(Key, Results[BasisIdx].Cycles);
   }
+  if (HiddenBasis)
+    Results.pop_back();
   uint64_t Overhead = runtimeOverhead(Benchmark, Cpu);
   for (PerfCounters &C : Results)
     C.Cycles += Overhead;

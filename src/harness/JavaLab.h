@@ -78,11 +78,12 @@ public:
   /// in-memory trace (zero-copy tiles) or a validated streaming view
   /// of the benchmark's trace cache file (O(tile) working memory).
   /// Auto consults VMIB_TRACE_DECODE, then streams only when the
-  /// decoded footprint exceeds the decode budget AND a valid cache
-  /// file exists. An explicit Stream request with no streamable file
-  /// falls back to materializing with a warning — replay never fails
-  /// over a missing optimization. Counters are bit-identical either
-  /// way. Thread-safe.
+  /// decoded footprint exceeds the decode budget. A stream with no
+  /// cache file yet captures the trace, saves it and streams the saved
+  /// file without keeping the capture resident; only when the file
+  /// cannot be written does an explicit Stream request fall back to
+  /// materializing with a warning — replay never fails over a missing
+  /// optimization. Counters are bit-identical either way. Thread-safe.
   TraceSource traceSource(const std::string &Benchmark,
                           TraceDecodeMode Mode = TraceDecodeMode::Auto);
 
@@ -163,7 +164,9 @@ public:
   /// quickenings are re-applied at their exact event positions.
   /// Results are in variant order, bit-identical to replay() per cell
   /// (runtime overhead included). An uncached overhead basis is taken
-  /// from one hidden plain-threaded member of the same gang.
+  /// from the first variant that builds the plain-threaded layout, or
+  /// from one hidden plain-threaded member of the same gang when none
+  /// does.
   /// Thread-safe. \p Threads > 1 replays the gang on the shared-tile
   /// worker pool (each quickening member has one owner, so results
   /// stay bit-identical for any thread count); \p StatsOut receives
@@ -175,6 +178,15 @@ public:
              TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
 private:
+  template <class LabT>
+  friend TraceSource labTraceSource(LabT &, const std::string &,
+                                    const std::string &, TraceDecodeMode);
+
+  /// Captures the trace of \p Benchmark on a scratch program copy,
+  /// hash-verified, and saves it to the trace cache best-effort. The
+  /// caller decides whether it stays resident.
+  DispatchTrace captureTrace(const std::string &Benchmark);
+
   /// Post-quickening static profile of one benchmark (the state static
   /// selection sees: quick forms, §5.4).
   const SequenceProfile &profileOf(const std::string &Benchmark);

@@ -14,6 +14,7 @@
 #include "vmcore/Strategy.h"
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace vmib {
@@ -29,6 +30,18 @@ struct VariantSpec {
   /// Replicate superinstructions too ("static both").
   bool ReplicateSupers = false;
 };
+
+/// Whether \p A and \p B build the same interpreter: every field of
+/// VariantSpec and its StrategyConfig except the display name. A field
+/// added to either struct must be added here too.
+inline bool sameRecipe(const VariantSpec &A, const VariantSpec &B) {
+  auto Recipe = [](const VariantSpec &V) {
+    return std::tie(V.Config.Kind, V.Config.ReplicaCount, V.Config.SuperCount,
+                    V.Config.Policy, V.Config.Parse, V.Config.Seed,
+                    V.SuperCount, V.ReplicaCount, V.ReplicateSupers);
+  };
+  return Recipe(A) == Recipe(B);
+}
 
 /// The nine Gforth variants of §7.1 (plus their parameters).
 std::vector<VariantSpec> gforthVariants();

@@ -19,17 +19,16 @@
 /// Members carry the same tiered state the per-config replayer uses:
 ///
 ///  - addBtb()/addDefault(): optimistic NoEvictBTB + NoEvictICache
-///    fast path. A member whose optimistic model overflows in tile T
-///    *catches up*: the worker that owns it replays its consumed
-///    prefix [0, end of T) once through the exact models on a private
-///    cursor, and the member continues in the gang from tile T+1.
-///    After a BTB-only overflow it keeps its no-evict I-cache and its
-///    decode group; after an I-cache overflow it replays fused on the
-///    exact LRU models. Overflows are the rare case (tiny BTBs,
-///    replication blowing a small I-cache) and come early in the
-///    trace, so the gang never pays LRU bookkeeping for the common
-///    case and an overflowing member re-runs a short prefix, not the
-///    whole trace.
+///    fast path. A member whose optimistic model overflows *catches
+///    up*: the thread that owns it replays its consumed prefix once
+///    through the exact models on a private cursor, and the member
+///    continues in the gang from the next event. After a BTB-only
+///    overflow it keeps its no-evict I-cache and its decode group;
+///    after an I-cache overflow it replays fused on the exact LRU
+///    models. Overflows are the rare case (tiny BTBs, replication
+///    blowing a small I-cache) and come early in the trace, so the
+///    gang never pays LRU bookkeeping for the common case and an
+///    overflowing member re-runs a short prefix, not the whole trace.
 ///  - addBtbPredictorOnly()/addPredictorOnly(): branch-stream-only
 ///    members (NullICache) that take the predictor-independent fetch
 ///    counters from an *earlier gang member's* finished result —
@@ -42,6 +41,14 @@
 ///    and re-apply the recorded quicken rewrites at their exact event
 ///    positions (per-member record cursor), on the exact-LRU models.
 ///
+/// Every member on the no-evict models — a group of one included —
+/// replays *decoded* tiles: its layout is decoded once per tile into
+/// structure-of-arrays branch records and a first-touch fetch stream
+/// (gang::DecodedChunk), shared by every member whose layout decodes
+/// identically. Only members on exact models (the quickening tier,
+/// members an I-cache catch-up moved onto the LRU cache) run the fused
+/// sim::step kernel over raw events.
+///
 /// Quicken-free members only *read* their DispatchProgram (sim::step
 /// uses const accessors), so members of the same variant may share one
 /// layout via shared_ptr — with the predictor state-size audit
@@ -49,12 +56,15 @@
 /// next to the tile.
 ///
 /// run(Threads) with Threads > 1 replays the gang on a shared-tile
-/// worker pool: the calling thread decodes tiles into a small ring and
-/// Threads workers replay member work off the same decoded tile, each
-/// owning a fixed contiguous member slice for the whole pass. A member
-/// has exactly one owner and crosses tiles in stream order, so
-/// counters are bit-identical for any thread count
-/// (tests/GangReplayTest.cpp pins the invariance).
+/// worker pool: the calling thread reads tiles into a small ring and
+/// Threads workers replay member work off the same tile, each owning a
+/// fixed contiguous member slice for the whole pass. A decode group
+/// whose members all lie in one slice is decoded by that slice's
+/// worker, sub-tile by sub-tile into its own scratch; only groups that
+/// span workers are decoded once per tile into the ring. A member has
+/// exactly one owner and crosses tiles in stream order, so counters
+/// are bit-identical for any thread count (tests/GangReplayTest.cpp
+/// pins the invariance).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +74,7 @@
 #include "vmcore/TraceReplayer.h"
 #include "vmcore/TraceSource.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -115,11 +126,12 @@ inline bool runSpanChecked(const EventSpan &Span,
   return Ok;
 }
 
-/// One tile of the event stream decoded against a layout, stored as
+/// A stretch of the event stream (a sub-tile, or a tile of the
+/// parallel ring) decoded against a layout, stored as
 /// structure-of-arrays: the per-event work that depends only on
 /// (layout, event) — piece lookup, fallback state machine, fetch
 /// addresses, dispatch targets and hints, and the counter sums — is
-/// done ONCE per (layout, tile) and shared by every gang member on
+/// done ONCE per (layout, events) and shared by every gang member on
 /// that layout. Members then consume just the stream their tier
 /// needs, so predictor-only members reduce to a pure
 /// predict-and-update loop over the contiguous branch records.
@@ -156,14 +168,20 @@ struct DecodedChunk {
     uint64_t Bytes;
   };
 
-  /// Sizes the SoA arrays for \p ChunkCapacity events over a layout of
-  /// \p NumPieces pieces. The parallel tile ring owns one chunk per
-  /// (slot, group); GroupDecoder's internal scratch uses the same
-  /// sizing.
-  void reserve(size_t ChunkCapacity, uint32_t NumPieces) {
-    Branches.resize(ChunkCapacity); // one dispatch per event, max
-    // First-touch fetches: at most two per piece over the whole run.
-    Fetches.resize(2 * (size_t{NumPieces} + 1));
+  /// Sizes the SoA arrays for up to \p Events events of a layout whose
+  /// first-touch fetch stream holds at most \p MaxFetches records over
+  /// the whole pass (GroupDecoder::maxFetches()). One decode also
+  /// touches at most two fetches per event, so a sub-tile scratch
+  /// stays small however large the layout.
+  void reserve(size_t Events, size_t MaxFetches) {
+    Branches.resize(Events); // one dispatch per event, max
+    Fetches.resize(std::min(2 * Events, MaxFetches));
+  }
+
+  /// Resident bytes of the SoA arrays.
+  uint64_t bytes() const {
+    return Branches.size() * sizeof(BranchRec) +
+           Fetches.size() * sizeof(FetchRec);
   }
 
   /// Dispatch branch records in exact event order; [0, NumBranches).
@@ -183,52 +201,41 @@ struct DecodedChunk {
   uint64_t ColdStubBranches = 0;
 };
 
-/// Per-layout decoder: owns the SoA scratch (allocated once, reused
-/// across tiles), the fallback state machine, and the first-touch
+/// Per-layout decoder: the fallback state machine and the first-touch
 /// bitmaps — all pure functions of (layout, events), carried once per
-/// group instead of once per member.
+/// group instead of once per member. It owns no output storage: the
+/// thread that decodes a group hands it a DecodedChunk (its sub-tile
+/// scratch, or a slot of the parallel tile ring).
 class GroupDecoder {
 public:
-  GroupDecoder(const DispatchProgram &Layout, size_t ChunkCapacity)
-      : Layout(Layout), Capacity(ChunkCapacity),
-        Slim(TraceReplayer::isSlimLayout(Layout)) {
+  explicit GroupDecoder(const DispatchProgram &Layout)
+      : Layout(Layout), Slim(TraceReplayer::isSlimLayout(Layout)) {
     SeenPiece.assign(Layout.numPieces(), 0);
     if (Layout.hasFallbacks())
       SeenFallback.assign(Layout.numPieces(), 0);
   }
 
-  const DecodedChunk &chunk() const { return D; }
-
-  /// A DecodedChunk sized for this decoder's layout and tile capacity
-  /// (external decodeInto storage — the parallel tile ring allocates
-  /// one per slot).
-  DecodedChunk makeChunk() const {
-    DecodedChunk C;
-    C.reserve(Capacity, Layout.numPieces());
-    return C;
+  /// Upper bound on this layout's first-touch fetch records over the
+  /// whole pass: two per piece, normal and fallback executions of an
+  /// index counted apart.
+  size_t maxFetches() const {
+    return 2 * (SeenPiece.size() + SeenFallback.size());
   }
 
-  /// Decodes one tile of events into \p Out. The fallback state
-  /// machine and the first-touch bitmaps live in the decoder, so calls
-  /// MUST cover the event stream in strict tile order regardless of
-  /// where the output lands (the single decoder thread of a parallel
-  /// run preserves this).
+  /// Decodes the events of \p Span into \p Out, which must be reserved
+  /// for at least Span.size() events and this layout's maxFetches().
+  /// The fallback state machine and the first-touch bitmaps live in
+  /// the decoder, so calls MUST cover the event stream in strict order
+  /// regardless of where the output lands (one thread decodes a group
+  /// for the whole pass).
   void decodeInto(const EventSpan &Span, DecodedChunk &Out) {
+    assert(Span.size() <= Out.Branches.size() &&
+           Out.Fetches.size() >= std::min(2 * Span.size(), maxFetches()) &&
+           "decode output reserved too small");
     if (Slim)
       decodeSpan<false>(Span, Out);
     else
       decodeSpan<true>(Span, Out);
-  }
-
-  void decode(const EventSpan &Span) {
-    // The internal scratch exists only for the serial path; parallel
-    // runs decode into ring slots, so allocate it lazily rather than
-    // carrying dead tile-capacity buffers per group.
-    if (!ScratchReady) {
-      D.reserve(Capacity, Layout.numPieces());
-      ScratchReady = true;
-    }
-    decodeInto(Span, D);
   }
 
 private:
@@ -316,9 +323,7 @@ private:
   }
 
   const DispatchProgram &Layout;
-  size_t Capacity;
   bool Slim;
-  bool ScratchReady = false;
   bool InFallback = false;
   uint32_t FallbackUntil = 0;
   /// First-touch bitmaps: a piece's fetch footprint is constant for
@@ -327,8 +332,14 @@ private:
   /// same index fetch different pieces, hence two maps).
   std::vector<uint8_t> SeenPiece;
   std::vector<uint8_t> SeenFallback;
-  DecodedChunk D;
 };
+
+/// Events per decoded sub-tile. A thread decodes a group's share of a
+/// tile this many events at a time into one scratch it reuses for every
+/// group it decodes, so the branch records it just wrote are still in
+/// cache when the members read them, and resident decode memory is one
+/// sub-tile per replaying thread rather than one tile per group.
+constexpr size_t DecodeSubTileEvents = size_t{1} << 13;
 
 /// Structural identity of everything the tile decoder reads from a
 /// layout: the piece and fallback tables, the dispatch hints, and the
@@ -468,31 +479,38 @@ class GangMember {
 public:
   virtual ~GangMember() = default;
 
-  /// Replays one tile of events. \returns false if this member's
-  /// optimistic models overflowed in this tile — the gang then calls
-  /// catchUp() before handing the member its next tile.
-  virtual bool runChunk(const EventSpan &Span) = 0;
+  /// Replays raw events through the fused kernel. Only called while
+  /// soaLayout() returns null, i.e. on exact models, which never
+  /// overflow: \returns true.
+  virtual bool runChunk(const EventSpan &Span) {
+    (void)Span;
+    assert(false && "decoded members never replay raw events");
+    return true;
+  }
 
-  /// The layout this member can share a GroupDecoder over, or nullptr
-  /// if it must replay fused (quickening members mutate their layout
+  /// The layout this member's tiles are decoded against, or nullptr if
+  /// it must replay fused (quickening members mutate their layout
   /// mid-stream; members on an exact LRU I-cache cannot use the
-  /// first-touch fetch stream). When two or more members report the
-  /// same layout, the gang decodes each tile once for the group and
-  /// drives runChunkDecoded() instead of runChunk(); a member whose
-  /// answer turns null after a catch-up leaves its group.
+  /// first-touch fetch stream). Members whose layouts decode
+  /// identically share one decode per tile, a group of one included;
+  /// a member whose answer turns null after a catch-up leaves its
+  /// group.
   virtual const DispatchProgram *soaLayout() const { return nullptr; }
 
-  /// Replays one decoded tile (same overflow contract as runChunk).
-  /// Only called while soaLayout() returns non-null.
+  /// Replays decoded events: a sub-tile, or a whole tile of a group
+  /// decoded into the parallel ring. \returns false if this member's
+  /// optimistic models overflowed in them — the gang then calls catchUp()
+  /// before handing the member its next events. Only called while
+  /// soaLayout() returns non-null.
   virtual bool runChunkDecoded(const gang::DecodedChunk &D) {
     (void)D;
     return true;
   }
 
-  /// Switches a member whose optimistic models overflowed in the tile
-  /// ending at event \p End to the exact models: replays the consumed
+  /// Switches a member whose optimistic models overflowed in the
+  /// events ending at \p End to the exact models: replays the consumed
   /// prefix [0, End) once through them (gang::replayPrefix) so the
-  /// member continues in the gang from the next tile. \returns the
+  /// member continues in the gang from event \p End. \returns the
   /// events replayed.
   virtual uint64_t catchUp(const TraceSource &Source, size_t End) = 0;
 
@@ -526,12 +544,9 @@ public:
   }
 
   bool runChunk(const EventSpan &Span) override {
-    if (ExactS) {
-      (void)runSpanChecked(Span, *Layout, Slim, *ExactS, *ExactPred);
-      return true;
-    }
-    return FastPred ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
-                    : runSpanChecked(Span, *Layout, Slim, S, *ExactPred);
+    assert(ExactS && "no-evict members replay decoded tiles");
+    (void)runSpanChecked(Span, *Layout, Slim, *ExactS, *ExactPred);
+    return true;
   }
 
   const DispatchProgram *soaLayout() const override {
@@ -602,11 +617,6 @@ public:
       ExactPred = std::make_unique<BTB>(Config);
   }
 
-  bool runChunk(const EventSpan &Span) override {
-    return FastPred ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
-                    : runSpanChecked(Span, *Layout, Slim, S, *ExactPred);
-  }
-
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
 
   bool runChunkDecoded(const DecodedChunk &D) override {
@@ -655,11 +665,9 @@ public:
         Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
 
   bool runChunk(const EventSpan &Span) override {
-    if (ExactS) {
-      (void)runSpanChecked(Span, *Layout, Slim, *ExactS, Pred);
-      return true;
-    }
-    return runSpanChecked(Span, *Layout, Slim, S, Pred);
+    assert(ExactS && "no-evict members replay decoded tiles");
+    (void)runSpanChecked(Span, *Layout, Slim, *ExactS, Pred);
+    return true;
   }
 
   const DispatchProgram *soaLayout() const override {
@@ -709,10 +717,6 @@ public:
       : Layout(std::move(Layout)), Cpu(Cpu), Pred(std::move(Pred)),
         FetchBaseline(FetchBaseline),
         Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
-
-  bool runChunk(const EventSpan &Span) override {
-    return runSpanChecked(Span, *Layout, Slim, S, Pred) || CaughtUp;
-  }
 
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
 
@@ -838,8 +842,8 @@ private:
 /// never contend on a trace and every byte a worker streams feeds all
 /// of its configurations. run(Threads > 1) keeps the trace-affinity
 /// but splits the gang's *members* across worker threads that share
-/// each decoded tile (one decoder, many consumers — the NUMA-friendly
-/// shape: the tile is decoded once per host, not once per process).
+/// each tile (one reader, many consumers — the tile is read once per
+/// host, not once per process).
 class GangReplayer {
 public:
   /// \p Source is the replay input: a materialized DispatchTrace
@@ -951,7 +955,10 @@ public:
     /// through the exact tier (counted once per member).
     uint64_t DeferredFinishes = 0;
     /// Events the catch-ups replayed: each one re-runs its member's
-    /// consumed prefix, not the whole trace.
+    /// consumed prefix, not the whole trace. The prefix ends with the
+    /// sub-tile the member overflowed in when its own thread decodes
+    /// its group, else with the tile, so this count (unlike every
+    /// counter) depends on the thread count and the tile size.
     uint64_t CatchUpEvents = 0;
     /// Wall clock of the completion pass (baseline patching and
     /// finalization).
@@ -972,6 +979,11 @@ public:
     /// (bytes; 0 for materialized runs) — the number the O(tile)
     /// memory claim is audited by.
     uint64_t PeakTileRingBytes = 0;
+    /// High-water mark of the replaying threads' decode scratch
+    /// (bytes, summed over threads): at most one DecodeSubTileEvents
+    /// sub-tile per thread, however many groups it decodes. Ring chunks
+    /// of groups that span workers are not scratch and not counted.
+    uint64_t PeakDecodeScratchBytes = 0;
 
     /// Accumulates \p O (worker rows summed index-wise) — how the
     /// sweep executor folds per-gang stats into a sweep-level view.
@@ -993,6 +1005,8 @@ public:
       SourceEvents += O.SourceEvents;
       if (O.PeakTileRingBytes > PeakTileRingBytes)
         PeakTileRingBytes = O.PeakTileRingBytes;
+      if (O.PeakDecodeScratchBytes > PeakDecodeScratchBytes)
+        PeakDecodeScratchBytes = O.PeakDecodeScratchBytes;
     }
   };
 
@@ -1011,16 +1025,22 @@ public:
   /// spent afterwards; build a new one for another pass.
   ///
   /// \p Threads <= 1 is the serial pass. Threads > 1 runs the
-  /// shared-tile worker pool: the calling thread decodes each tile
-  /// once into a small ring and \p Threads workers replay members off
-  /// it, each owning a fixed near-equal contiguous member slice for the
+  /// shared-tile worker pool: the calling thread reads each tile once
+  /// into a small ring and \p Threads workers replay members off it,
+  /// each owning a fixed near-equal contiguous member slice for the
   /// whole pass. Slices, not work stealing: a cost-weighted stealing
   /// schedule measured no faster on any sweep, mixed-cost gangs
   /// included (docs/simulation-pipeline.md, "Why static slices").
   ///
-  /// A member whose optimistic models overflow in tile T catches up
-  /// on the worker that owns it (GangMember::catchUp) and replays tile
-  /// T+1 onward on the exact models, so no member leaves the gang.
+  /// Decode happens on the thread that consumes it: the serial pass
+  /// and each worker decode their own groups one DecodeSubTileEvents
+  /// sub-tile at a time into one reused scratch, then run the group's
+  /// members over it. Only a group whose members span workers is
+  /// decoded by the calling thread, once per tile, into the ring.
+  ///
+  /// A member whose optimistic models overflow catches up on the
+  /// thread that owns it (GangMember::catchUp) and replays the rest of
+  /// the trace on the exact models, so no member leaves the gang.
   ///
   /// Counters are bit-identical for every \p Threads. \p StatsOut,
   /// when non-null, receives the pool accounting of this run.

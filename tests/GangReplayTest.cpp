@@ -280,13 +280,14 @@ TEST(GangReplay, ChunkSizeInvariance) {
     std::shared_ptr<DispatchProgram> Layout =
         Lab.buildLayout("gray", Threaded);
     Gang.addDefault(Layout, P4);
-    Gang.addDefault(Layout, P4); // grouped: SoA decode path
+    Gang.addDefault(Layout, P4); // grouped: one decode, two members
     std::vector<PerfCounters> R = Gang.run();
     expectEqualCounters(Expected, R[0], "chunked full (decoded)");
     expectEqualCounters(Expected, R[1], "chunked full (decoded, second)");
     GangReplayer Single(Lab.trace("gray"), Chunk);
     Single.addDefault(Lab.buildLayout("gray", Threaded), P4);
-    expectEqualCounters(Expected, Single.run()[0], "chunked full (fused)");
+    expectEqualCounters(Expected, Single.run()[0],
+                        "chunked full (decoded alone)");
   }
 }
 
@@ -504,7 +505,8 @@ namespace {
 /// over \p Trace and runs it: full members on two CPUs (separately
 /// built layouts — fingerprint-grouped), a tiny-BTB member that
 /// overflows and catches up onto the exact BTB, baseline-linked
-/// predictor-only members, and a fused singleton.
+/// predictor-only members, and a custom-predictor member alone on its
+/// layout (a decode group of one).
 std::vector<PerfCounters>
 runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
                    GangReplayer::Stats *StatsOut = nullptr) {
@@ -528,7 +530,7 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   TwoLevelConfig TL;
   Gang.addPredictorOnly(L, P4, TwoLevelPredictor(TL), Base);
   Gang.addPredictor(Lab.buildLayout("gray", Switch), P4,
-                    CaseBlockTable(1024)); // singleton -> fused kernel
+                    CaseBlockTable(1024)); // a decode group of one
   return Gang.run(Threads, StatsOut);
 }
 
@@ -670,7 +672,7 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
     Gang.addBtbPredictorOnly(L, P4, Tiny, Base);
     Gang.addPredictor(L, TinyCache, TwoLevelPredictor(TL));
     Gang.addPredictorOnly(L, TinyCache, TwoLevelPredictor(TL), TinyIC);
-    Gang.addDefault(LSwitch, TinyCache); // fused singleton
+    Gang.addDefault(LSwitch, TinyCache); // a decode group of one
     return Gang.run(Threads, St);
   };
   auto Oracle = [&](const DispatchTrace &T) {
@@ -722,6 +724,13 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
   const std::string Path =
       "/tmp/vmib-catchup-" + std::to_string(::getpid()) + ".vmibtrace";
   for (const Placement &P : Placements) {
+    // CatchUpEvents is compared across thread counts below, which holds
+    // only while a tile is at most one decode sub-tile: serially the
+    // group is the worker's own and catches up at sub-tile ends, at
+    // four threads it spans workers and catches up at ring-tile ends.
+    ASSERT_LE(P.Chunk, gang::DecodeSubTileEvents)
+        << P.What << ": catch-up cost is thread-invariant only when a "
+        << "tile fits one sub-tile";
     size_t N = P.Trace.numEvents();
     std::vector<PerfCounters> Expected = Oracle(P.Trace);
     ASSERT_TRUE(P.Trace.save(Path, /*WorkloadHash=*/0x1234)) << P.What;
@@ -757,6 +766,213 @@ TEST(GangReplay, OverflowingMembersCatchUpBitIdentical) {
         EXPECT_EQ(St.CatchUpEvents, Ref.CatchUpEvents) << What;
       }
   }
+  std::remove(Path.c_str());
+}
+
+namespace {
+
+/// One replaying thread's decode scratch at most: a sub-tile of branch
+/// records plus the at most two first-touch fetches per event.
+constexpr uint64_t SubTileScratchBytes =
+    gang::DecodeSubTileEvents * (sizeof(gang::DecodedChunk::BranchRec) +
+                                 2 * sizeof(gang::DecodedChunk::FetchRec));
+
+/// \p N rounded up to whole decode sub-tiles.
+size_t subTileCeil(size_t N) {
+  return (N + gang::DecodeSubTileEvents - 1) / gang::DecodeSubTileEvents *
+         gang::DecodeSubTileEvents;
+}
+
+/// Saves \p T to a per-process temp file and opens it as a streaming
+/// source; the file stays until the caller removes \p Path.
+TraceSource streamedCopy(const DispatchTrace &T, const std::string &Path) {
+  TraceSource S;
+  EXPECT_TRUE(T.save(Path, /*WorkloadHash=*/0x1234));
+  EXPECT_TRUE(TraceSource::openStreaming(Path, 0x1234, S));
+  return S;
+}
+
+/// Layouts of \p Kinds over "gray", asserted pairwise decode-distinct,
+/// so members on different entries never share a decode group.
+std::vector<std::shared_ptr<DispatchProgram>>
+distinctLayouts(std::initializer_list<DispatchStrategy> Kinds) {
+  std::vector<std::shared_ptr<DispatchProgram>> L;
+  for (DispatchStrategy K : Kinds)
+    L.push_back(forthLab().buildLayout("gray", makeVariant(K)));
+  for (size_t I = 0; I < L.size(); ++I)
+    for (size_t J = 0; J < I; ++J)
+      EXPECT_NE(gang::decodeFingerprint(*L[I]), gang::decodeFingerprint(*L[J]))
+          << "layouts " << J << " and " << I << " would share a group";
+  return L;
+}
+
+} // namespace
+
+TEST(GangReplay, SingletonGroupsMatchPerConfigOracle) {
+  // Every member alone on its layout is a decode group of one, decoded
+  // sub-tile by sub-tile by the thread that owns it. Full,
+  // predictor-only and custom-predictor members, BTB overflows, and
+  // I-cache overflows that leave their group mid-tile must equal the
+  // per-config TraceReplayer for any thread count, tile size and
+  // decode path, with at most one sub-tile of decode scratch per
+  // replaying thread.
+  CpuConfig P4 = makePentium4Northwood();
+  CpuConfig TinyCache = P4;
+  TinyCache.ICache.SizeBytes = 1024;
+  TinyCache.ICache.Ways = 2;
+  BTBConfig Tiny;
+  Tiny.Entries = 16;
+  Tiny.Ways = 2;
+  BTBConfig TwoBit = P4.Btb;
+  TwoBit.TwoBitCounters = true;
+  TwoLevelConfig TL;
+  std::vector<std::shared_ptr<DispatchProgram>> L = distinctLayouts(
+      {DispatchStrategy::Threaded, DispatchStrategy::Switch,
+       DispatchStrategy::StaticRepl, DispatchStrategy::StaticSuper,
+       DispatchStrategy::DynamicRepl, DispatchStrategy::DynamicBoth,
+       DispatchStrategy::AcrossBB, DispatchStrategy::WithStaticSuper});
+  DispatchTrace Prefix = prefixTrace(forthLab().trace("gray"), 60000);
+  const size_t N = Prefix.numEvents();
+
+  auto BuildAndRun = [&](const TraceSource &Source, size_t Chunk,
+                         unsigned Threads, GangReplayer::Stats *St) {
+    GangReplayer Gang(Source, Chunk);
+    size_t Base = Gang.addDefault(L[0], P4);
+    Gang.addBtb(L[1], P4, Tiny); // BTB overflow: keeps its group
+    Gang.addBtbPredictorOnly(L[2], P4, TwoBit, Base);
+    Gang.addPredictorOnly(L[3], P4, TwoLevelPredictor(TL), Base);
+    Gang.addPredictor(L[4], P4, CaseBlockTable(1024));
+    size_t TinyIC = Gang.addDefault(L[5], TinyCache); // leaves its group
+    Gang.addPredictor(L[6], TinyCache, TwoLevelPredictor(TL));
+    Gang.addBtbPredictorOnly(L[7], P4, Tiny, TinyIC);
+    return Gang.run(Threads, St);
+  };
+  std::vector<PerfCounters> Expected;
+  {
+    const DispatchTrace &T = Prefix;
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[0], nullptr, P4, P4.Btb));
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[1], nullptr, P4, Tiny));
+    Expected.push_back(TraceReplayer::replayBtbPredictorOnly(
+        T, *L[2], P4, TwoBit, Expected[0]));
+    TwoLevelPredictor Only(TL), Full(TL);
+    Expected.push_back(
+        TraceReplayer::replayPredictorOnly(T, *L[3], P4, Only, Expected[0]));
+    CaseBlockTable Cbt(1024);
+    Expected.push_back(TraceReplayer::replay(T, *L[4], nullptr, P4, Cbt));
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[5], nullptr, TinyCache,
+                                                TinyCache.Btb));
+    Expected.push_back(
+        TraceReplayer::replay(T, *L[6], nullptr, TinyCache, Full));
+    Expected.push_back(TraceReplayer::replayBtbPredictorOnly(
+        T, *L[7], P4, Tiny, Expected[5]));
+  }
+
+  const std::string Path =
+      "/tmp/vmib-singleton-" + std::to_string(::getpid()) + ".vmibtrace";
+  TraceSource Streamed = streamedCopy(Prefix, Path);
+  for (const TraceSource &Source : {TraceSource(Prefix), Streamed})
+    for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
+      for (unsigned Threads : {1u, 2u, 4u}) {
+        std::string What = std::string(Source.streaming() ? "stream" : "mat") +
+                           " chunk " + std::to_string(Chunk) + " threads " +
+                           std::to_string(Threads);
+        GangReplayer::Stats St;
+        std::vector<PerfCounters> R = BuildAndRun(Source, Chunk, Threads, &St);
+        ASSERT_EQ(R.size(), Expected.size()) << What;
+        for (size_t I = 0; I < R.size(); ++I)
+          expectEqualCounters(Expected[I], R[I],
+                              What + " member " + std::to_string(I));
+        EXPECT_GE(St.DeferredFinishes, 3u) << What;
+        EXPECT_GT(St.PeakDecodeScratchBytes, 0u) << What;
+        EXPECT_LE(St.PeakDecodeScratchBytes, Threads * SubTileScratchBytes)
+            << What;
+      }
+  std::remove(Path.c_str());
+
+  // The mid-tile exit itself: alone in a serial gang over one 64K tile,
+  // the tiny-I-cache member catches up at the end of the sub-tile it
+  // overflowed in, leaves its group there and replays the rest of the
+  // tile fused.
+  size_t E = firstOverflowEvent(Prefix, *L[5], TinyCache, TinyCache.Btb);
+  ASSERT_LT(subTileCeil(E + 1), N)
+      << "the overflow must land before the tile's last sub-tile";
+  GangReplayer Gang(Prefix, /*Chunk=*/65536);
+  Gang.addDefault(L[5], TinyCache);
+  GangReplayer::Stats St;
+  std::vector<PerfCounters> R = Gang.run(1, &St);
+  expectEqualCounters(Expected[5], R[0], "mid-tile exit");
+  EXPECT_EQ(St.DeferredFinishes, 1u);
+  EXPECT_EQ(St.CatchUpEvents, subTileCeil(E + 1));
+  EXPECT_LE(St.PeakDecodeScratchBytes, SubTileScratchBytes);
+}
+
+TEST(GangReplay, PooledGangMixesWorkerLocalAndCrossWorkerGroups) {
+  // Members on layouts [A, B, C, A, D, D]: on two workers (slices
+  // {0,1,2} and {3,4,5}) A spans both and is decoded once per tile
+  // into the ring, while B, C and D are decoded by their owners; on
+  // four ({0,1}, {2,3}, {4}, {5}) A and D span workers and B, C stay
+  // local. Either way every cell equals the per-config replayer.
+  CpuConfig P4 = makePentium4Northwood();
+  CpuConfig TinyCache = P4;
+  TinyCache.ICache.SizeBytes = 1024;
+  TinyCache.ICache.Ways = 2;
+  BTBConfig Tiny;
+  Tiny.Entries = 16;
+  Tiny.Ways = 2;
+  BTBConfig TwoBit = P4.Btb;
+  TwoBit.TwoBitCounters = true;
+  TwoLevelConfig TL;
+  std::vector<std::shared_ptr<DispatchProgram>> L = distinctLayouts(
+      {DispatchStrategy::Threaded, DispatchStrategy::Switch,
+       DispatchStrategy::StaticRepl, DispatchStrategy::DynamicBoth});
+  DispatchTrace Prefix = prefixTrace(forthLab().trace("gray"), 60000);
+
+  auto BuildAndRun = [&](const TraceSource &Source, size_t Chunk,
+                         unsigned Threads, GangReplayer::Stats *St) {
+    GangReplayer Gang(Source, Chunk);
+    size_t Base = Gang.addDefault(L[0], P4);
+    Gang.addDefault(L[1], P4);
+    Gang.addBtb(L[2], P4, Tiny);
+    Gang.addBtbPredictorOnly(L[0], P4, TwoBit, Base);
+    size_t TinyIC = Gang.addDefault(L[3], TinyCache);
+    Gang.addPredictorOnly(L[3], TinyCache, TwoLevelPredictor(TL), TinyIC);
+    return Gang.run(Threads, St);
+  };
+  std::vector<PerfCounters> Expected;
+  {
+    const DispatchTrace &T = Prefix;
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[0], nullptr, P4, P4.Btb));
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[1], nullptr, P4, P4.Btb));
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[2], nullptr, P4, Tiny));
+    Expected.push_back(TraceReplayer::replayBtbPredictorOnly(
+        T, *L[0], P4, TwoBit, Expected[0]));
+    Expected.push_back(TraceReplayer::replayBtb(T, *L[3], nullptr, TinyCache,
+                                                TinyCache.Btb));
+    TwoLevelPredictor Only(TL);
+    Expected.push_back(TraceReplayer::replayPredictorOnly(T, *L[3], TinyCache,
+                                                         Only, Expected[4]));
+  }
+
+  const std::string Path =
+      "/tmp/vmib-mixedgroups-" + std::to_string(::getpid()) + ".vmibtrace";
+  TraceSource Streamed = streamedCopy(Prefix, Path);
+  for (const TraceSource &Source : {TraceSource(Prefix), Streamed})
+    for (size_t Chunk : {size_t{4096}, size_t{65536}})
+      for (unsigned Threads : {2u, 4u}) {
+        std::string What = std::string(Source.streaming() ? "stream" : "mat") +
+                           " chunk " + std::to_string(Chunk) + " threads " +
+                           std::to_string(Threads);
+        GangReplayer::Stats St;
+        std::vector<PerfCounters> R = BuildAndRun(Source, Chunk, Threads, &St);
+        ASSERT_EQ(R.size(), Expected.size()) << What;
+        for (size_t I = 0; I < R.size(); ++I)
+          expectEqualCounters(Expected[I], R[I],
+                              What + " member " + std::to_string(I));
+        ASSERT_EQ(St.Workers.size(), Threads) << What;
+        EXPECT_GT(St.PeakDecodeScratchBytes, 0u) << What;
+        EXPECT_LE(St.PeakDecodeScratchBytes, Threads * SubTileScratchBytes)
+            << What;
+      }
   std::remove(Path.c_str());
 }
 
@@ -830,6 +1046,37 @@ TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {
   for (size_t I = 0; I < JVariants.size(); ++I)
     expectEqualCounters(JLab.replay("jess", JVariants[I], P4), JGang[I],
                         "java threaded gang/" + JVariants[I].Name);
+}
+
+TEST(GangReplay, JavaGangTakesOverheadBasisFromPlainMember) {
+  // A Java gang that replays the plain variant takes the uncached
+  // runtime-overhead basis from that member instead of adding a hidden
+  // one; its cells and basis equal those of a gang without `plain`,
+  // which does need the hidden member.
+  CpuConfig P4 = makePentium4Northwood();
+  VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
+  VariantSpec Super = makeVariant(DispatchStrategy::DynamicSuper);
+  auto MembersReplayed = [](const GangReplayer::Stats &St) {
+    uint64_t Events = 0;
+    for (const GangReplayer::Stats::Worker &W : St.Workers)
+      Events += W.EventsReplayed;
+    return Events / St.SourceEvents;
+  };
+
+  JavaLab WithPlain, Without;
+  GangReplayer::Stats St;
+  std::vector<PerfCounters> R =
+      WithPlain.replayGang("jess", {Plain, Super}, P4, /*Threads=*/2, &St);
+  EXPECT_EQ(MembersReplayed(St), 2u) << "no hidden basis member";
+  std::vector<PerfCounters> S =
+      Without.replayGang("jess", {Super}, P4, /*Threads=*/2, &St);
+  EXPECT_EQ(MembersReplayed(St), 2u) << "the hidden basis member rides";
+  ASSERT_EQ(R.size(), 2u);
+  ASSERT_EQ(S.size(), 1u);
+  expectEqualCounters(S[0], R[1], "dynamic super");
+  EXPECT_EQ(WithPlain.runtimeOverhead("jess", P4),
+            Without.runtimeOverhead("jess", P4));
+  expectEqualCounters(javaLab().replay("jess", Plain, P4), R[0], "plain");
 }
 
 TEST(GangReplay, StateBytesAuditCoversModels) {

@@ -33,6 +33,28 @@ TEST(Variants, JvmMatrixMatchesPaper) {
   EXPECT_EQ(V.back().Name, "w/static super across");
 }
 
+TEST(Variants, SameRecipeIgnoresOnlyTheName) {
+  // The Java gang takes its overhead basis from any variant whose
+  // recipe equals the plain-threaded one, so every field that shapes
+  // the layout must count and the display name must not.
+  const VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
+  VariantSpec Renamed = Plain;
+  Renamed.Name = "plain, renamed";
+  EXPECT_TRUE(sameRecipe(Plain, Renamed));
+  std::vector<VariantSpec> Changed(9, Plain);
+  Changed[0].Config.Kind = DispatchStrategy::Switch;
+  Changed[1].Config.ReplicaCount += 1;
+  Changed[2].Config.SuperCount += 1;
+  Changed[3].Config.Policy = ReplicaPolicy::Random;
+  Changed[4].Config.Parse = ParsePolicy::Optimal;
+  Changed[5].Config.Seed += 1;
+  Changed[6].SuperCount += 1;
+  Changed[7].ReplicaCount += 1;
+  Changed[8].ReplicateSupers = !Plain.ReplicateSupers;
+  for (size_t I = 0; I < Changed.size(); ++I)
+    EXPECT_FALSE(sameRecipe(Plain, Changed[I])) << "field " << I;
+}
+
 TEST(Figures, SpeedupMatrixMath) {
   SpeedupMatrix M;
   M.Benchmarks = {"b"};

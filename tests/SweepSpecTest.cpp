@@ -570,24 +570,29 @@ TEST(SweepSpec, FullyServedSweepCapturesAndReplaysNothing) {
 }
 
 TEST(SweepSpec, StreamedSweepMaterializesNoTrace) {
-  // A streamed sweep off cached trace files replays in O(tile) memory:
-  // neither lab may pin a decoded trace — including the Java
-  // runtime-overhead basis, which comes out of the gang.
+  // A streamed sweep replays in O(tile) memory on an empty trace cache
+  // as on a warm one: neither lab may pin a decoded trace — not the
+  // one a cold sweep captures (it streams the file the capture saved),
+  // nor the Java runtime-overhead basis, which comes out of the gang.
   ScratchTraceCache Cache;
   for (bool Java : {false, true}) {
     SCOPED_TRACE(Java ? "java" : "forth");
     SweepSpec Spec = Java ? javaRunSpec() : forthRunSpec();
-    std::vector<PerfCounters> Reference;
-    SweepExecutor().runAll(Spec, 1, Reference); // captures the files
     SweepSpec Streamed = Spec;
     Streamed.Decode = TraceDecodeMode::Stream;
-    SweepExecutor Executor;
-    std::vector<PerfCounters> Cells;
-    SweepRunStats Stats = Executor.runAll(Streamed, 1, Cells);
-    EXPECT_TRUE(Stats.Load.StreamedDecode);
-    EXPECT_EQ(0u, Java ? Executor.java().residentTraces()
-                       : Executor.forth().residentTraces());
-    expectCellsEqual(Reference, Cells);
+    std::vector<PerfCounters> Reference;
+    for (bool Warm : {false, true}) {
+      SCOPED_TRACE(Warm ? "warm cache" : "empty cache");
+      SweepExecutor Executor;
+      std::vector<PerfCounters> Cells;
+      SweepRunStats Stats = Executor.runAll(Streamed, 1, Cells);
+      EXPECT_TRUE(Stats.Load.StreamedDecode);
+      EXPECT_EQ(0u, Java ? Executor.java().residentTraces()
+                         : Executor.forth().residentTraces());
+      if (!Warm) // materialized, off the files the cold sweep saved
+        SweepExecutor().runAll(Spec, 1, Reference);
+      expectCellsEqual(Reference, Cells);
+    }
   }
 }
 
